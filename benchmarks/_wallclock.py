@@ -56,28 +56,19 @@ def backend_legs():
     return legs
 
 
-def backend_leg(backend, stacked_fn, serial_fn):
+def backend_leg(backend, fn):
     """One timed leg returning its measured seconds-per-call.
 
-    The serial leg runs a per-limb object (``packed=False``); the
-    packed/native legs run the same stacked object pinned via
-    ``use_backend``.  The backend switch happens *outside* the clocked
-    window so its few-microsecond cost never biases fast ops' ratios.
+    Every leg runs the same object; ``use_backend`` selects the kernel
+    table.  The backend switch happens *outside* the clocked window so
+    its few-microsecond cost never biases fast ops' ratios.
     """
-    if backend == "serial":
-        def run_serial():
-            t0 = time.perf_counter()
-            serial_fn()
-            return time.perf_counter() - t0
-
-        return run_serial
-
     from repro.native import use_backend
 
     def run():
         with use_backend(backend):
             t0 = time.perf_counter()
-            stacked_fn()
+            fn()
             return time.perf_counter() - t0
 
     return run

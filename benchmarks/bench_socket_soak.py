@@ -16,14 +16,9 @@ import time
 
 import numpy as np
 
+from repro.obs import percentile
+
 N_CLIENTS = 50
-
-
-def _percentile(sorted_ms, q):
-    if not sorted_ms:
-        return 0.0
-    idx = min(len(sorted_ms) - 1, int(round(q / 100.0 * (len(sorted_ms) - 1))))
-    return sorted_ms[idx]
 
 
 def test_socket_soak_latency_json(quick, wallclock_record, results_dir):
@@ -107,9 +102,9 @@ def test_socket_soak_latency_json(quick, wallclock_record, results_dir):
         "throughput_rps": round(total / wall_s, 1),
         "latency_ms": {
             "mean": round(float(np.mean(lat)), 3),
-            "p50": round(_percentile(lat, 50), 3),
-            "p90": round(_percentile(lat, 90), 3),
-            "p99": round(_percentile(lat, 99), 3),
+            "p50": round(percentile(lat, 50), 3),
+            "p90": round(percentile(lat, 90), 3),
+            "p99": round(percentile(lat, 99), 3),
             "max": round(lat[-1], 3),
         },
         "lost": 0,

@@ -97,8 +97,8 @@ def test_rescale(benchmark, ckks_bench):
 def test_wallclock_json(quick, wallclock_record):
     """Record native/packed/serial ops/sec at N = 4096, level 8.
 
-    "serial" is the per-limb reference path (``Evaluator(packed=False)``),
-    "packed" the stacked NumPy path, "native" the compiled kernel backend
+    "serial" is the per-limb reference table (``use_backend("serial")``),
+    "packed" the stacked NumPy table, "native" the compiled kernel backend
     (leg present only when a C toolchain is usable).  All legs compute
     bit-identical results (tests/test_packed_ab.py), so this is a pure
     execution-strategy comparison.
@@ -108,8 +108,7 @@ def test_wallclock_json(quick, wallclock_record):
     from repro.core.ciphertext import Ciphertext
 
     params, context = paper_shape_context()
-    stacked = Evaluator(context, packed=True)
-    serial = Evaluator(context, packed=False)
+    ev = Evaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level
@@ -124,16 +123,11 @@ def test_wallclock_json(quick, wallclock_record):
     medians = interleaved_median_ops(
         [
             ("add",
-             {bk: backend_leg(bk, lambda: stacked.add(a, b),
-                              lambda: serial.add(a, b)) for bk in legs}),
+             {bk: backend_leg(bk, lambda: ev.add(a, b)) for bk in legs}),
             ("multiply",
-             {bk: backend_leg(bk, lambda: stacked.multiply(a, b),
-                              lambda: serial.multiply(a, b))
-              for bk in legs}),
+             {bk: backend_leg(bk, lambda: ev.multiply(a, b)) for bk in legs}),
             ("rescale",
-             {bk: backend_leg(bk, lambda: stacked.rescale(rs_in),
-                              lambda: serial.rescale(rs_in))
-              for bk in legs}),
+             {bk: backend_leg(bk, lambda: ev.rescale(rs_in)) for bk in legs}),
         ],
         reps,
     )
@@ -165,7 +159,7 @@ def test_wallclock_tracing_overhead_json(quick, wallclock_record):
     from repro.obs import tracing
 
     params, context = paper_shape_context()
-    ev = Evaluator(context, packed=True)
+    ev = Evaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level
@@ -232,7 +226,7 @@ def test_wallclock_scaling_json(quick, wallclock_record):
         pytest.skip("native backend unavailable (no C toolchain)")
 
     params, context = paper_shape_context()
-    ev = Evaluator(context, packed=True)
+    ev = Evaluator(context)
     rng = np.random.default_rng(99)
     scale = float(params.scale)
     level = context.max_level

@@ -65,8 +65,8 @@ def test_wallclock_json(quick, wallclock_record):
     """Record native/packed/serial NTT ops/sec at N = 4096, level 8.
 
     One "op" is a full 8-limb RNS stack transform (the unit the CKKS
-    layer issues); "serial" is the per-row loop, "packed" the stacked
-    NumPy engine, "native" the compiled fused-butterfly kernels (leg
+    layer issues); "serial" is the per-row table
+    (``use_backend("serial")``), "packed" the stacked NumPy engine, "native" the compiled fused-butterfly kernels (leg
     present only when a C toolchain is usable).  All legs are
     bit-identical (tests/test_packed_ab.py).
     """
@@ -77,28 +77,24 @@ def test_wallclock_json(quick, wallclock_record):
 
     n, k = 4096, 8
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * (k - 1), n))
-    stacked = NTTEngine(n, base, packed=True)
-    serial = NTTEngine(n, base, packed=False)
+    engine = NTTEngine(n, base)
     rng = np.random.default_rng(13)
     x = np.stack(
         [rng.integers(0, m.value, n, dtype=np.uint64) for m in base]
     )
-    fwd = serial.forward(x, lazy=True)
+    fwd = engine.forward(x, lazy=True)
 
     legs = backend_legs()
     reps = 5 if quick else 25
     medians = interleaved_median_ops(
         [
             ("ntt_forward",
-             {b: backend_leg(b, lambda: stacked.forward(x),
-                             lambda: serial.forward(x)) for b in legs}),
+             {b: backend_leg(b, lambda: engine.forward(x)) for b in legs}),
             ("ntt_forward_lazy",
-             {b: backend_leg(b, lambda: stacked.forward(x, lazy=True),
-                             lambda: serial.forward(x, lazy=True))
+             {b: backend_leg(b, lambda: engine.forward(x, lazy=True))
               for b in legs}),
             ("ntt_inverse",
-             {b: backend_leg(b, lambda: stacked.inverse(fwd),
-                             lambda: serial.inverse(fwd)) for b in legs}),
+             {b: backend_leg(b, lambda: engine.inverse(fwd)) for b in legs}),
         ],
         reps,
     )
@@ -135,7 +131,7 @@ def test_wallclock_scaling_json(quick, wallclock_record):
 
     n, k = 4096, 8
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * (k - 1), n))
-    engine = NTTEngine(n, base, packed=True)
+    engine = NTTEngine(n, base)
     rng = np.random.default_rng(13)
     x = np.stack(
         [rng.integers(0, m.value, n, dtype=np.uint64) for m in base]

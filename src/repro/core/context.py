@@ -5,11 +5,11 @@ helpers used by rescaling (drop ``q_{l-1}``) and key-switch mod-down
 (drop the special prime ``P``).  Mirrors SEAL's ``SEALContext`` chain of
 per-level data.
 
-All hot methods run the packed-RNS path by default: whole ``(..., k, N)``
-stacks move through stacked NTTs and column-broadcast modular kernels
-(see :mod:`repro.modmath.stacked`) instead of one small NumPy call per
-prime.  Passing ``packed=False`` selects the per-limb reference loops,
-kept as the bit-identical oracle for the A/B property suite.
+All hot methods are written once against the stacked kernel entry
+points: whole ``(..., k, N)`` stacks move through stacked NTTs and
+column-broadcast modular kernels (see :mod:`repro.modmath.stacked`),
+whose implementation is the process-wide backend's kernel table
+(:func:`repro.native.backend.kernels`).
 """
 
 from __future__ import annotations
@@ -20,16 +20,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..modmath import Modulus, StackedModulus, inv_mod, packedops
+from ..modmath import Modulus, StackedModulus, inv_mod
 from ..modmath.barrett import barrett_reduce_64
-from ..modmath.ops import mul_mod, sub_mod
+from ..modmath.ops import sub_mod
 from ..native import backend as _backend
-from ..ntt.radix2 import (
-    ntt_forward,
-    ntt_forward_stacked,
-    ntt_inverse,
-    ntt_inverse_stacked,
-)
+from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from ..ntt.tables import NTTTables, StackedNTTTables, get_stacked_tables, get_tables
 from ..rns import RNSBase
 from .params import CkksParameters
@@ -125,43 +120,26 @@ class CkksContext:
     # -- domain transforms -------------------------------------------------------
 
     def to_ntt(self, matrix: np.ndarray, *, rows: int | None = None,
-               special_last: bool = False,
-               packed: bool | None = None) -> np.ndarray:
+               special_last: bool = False) -> np.ndarray:
         """Forward-NTT each row of an RNS matrix (rows = level count)."""
-        return self._transform(
-            matrix, forward=True, special_last=special_last, packed=packed
-        )
+        return self._transform(matrix, forward=True, special_last=special_last)
 
-    def from_ntt(self, matrix: np.ndarray, *, special_last: bool = False,
-                 packed: bool | None = None) -> np.ndarray:
+    def from_ntt(self, matrix: np.ndarray, *,
+                 special_last: bool = False) -> np.ndarray:
         """Inverse-NTT each row back to coefficient form."""
-        return self._transform(
-            matrix, forward=False, special_last=special_last, packed=packed
-        )
+        return self._transform(matrix, forward=False, special_last=special_last)
 
     def _transform(self, matrix: np.ndarray, *, forward: bool,
-                   special_last: bool, packed: bool | None = None) -> np.ndarray:
-        if packed is None:
-            packed = _backend.packed_default()
+                   special_last: bool) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.uint64)
         k = matrix.shape[-2]
-        if packed:
-            if special_last:
-                rows = tuple(range(k - 1)) + (len(self.key_base) - 1,)
-                st = self.stacked_tables_rows(rows)
-            else:
-                st = self.stacked_tables.prefix(k)
-            fn = ntt_forward_stacked if forward else ntt_inverse_stacked
-            return fn(matrix, st)
-        out = np.empty_like(matrix)
-        for i in range(k):
-            if special_last and i == k - 1:
-                tables = self.tables[-1]
-            else:
-                tables = self.tables[i]
-            fn = ntt_forward if forward else ntt_inverse
-            out[..., i, :] = fn(matrix[..., i, :], tables)
-        return out
+        if special_last:
+            rows = tuple(range(k - 1)) + (len(self.key_base) - 1,)
+            st = self.stacked_tables_rows(rows)
+        else:
+            st = self.stacked_tables.prefix(k)
+        fn = ntt_forward_stacked if forward else ntt_inverse_stacked
+        return fn(matrix, st)
 
     # -- divide-and-round in NTT domain --------------------------------------------
 
@@ -202,8 +180,7 @@ class CkksContext:
         return cached
 
     def divide_round_drop_ntt(
-        self, matrix: np.ndarray, dropped_idx: int, *,
-        packed: bool | None = None
+        self, matrix: np.ndarray, dropped_idx: int
     ) -> np.ndarray:
         """Drop the last row and divide-and-round by its modulus, in NTT form.
 
@@ -213,16 +190,9 @@ class CkksContext:
 
         Implements SEAL's sequence: iNTT the dropped row, center it, then
         per kept prime subtract its (re-NTT-ed) reduction and multiply by
-        the dropped modulus' inverse — all element-wise in NTT form.  The
-        packed path performs the per-prime half as four stacked calls over
-        the whole kept stack (bit-identical to the reference loop); under
-        the native backend those stacked calls — both NTTs, the Barrett
-        reduction, and the fused lazy-difference Harvey tail — run in the
-        compiled kernel library.  ``packed=None`` follows the process
-        backend (per-limb under ``serial``).
+        the dropped modulus' inverse — all element-wise in NTT form, as
+        five stacked calls over the whole kept stack.
         """
-        if packed is None:
-            packed = _backend.packed_default()
         matrix = np.asarray(matrix, dtype=np.uint64)
         k = matrix.shape[-2]
         if k < 2:
@@ -230,51 +200,34 @@ class CkksContext:
         dropped = self.key_base[dropped_idx]
         half = np.uint64(dropped.value >> 1)
 
-        if packed:
-            # The dropped row transforms as a one-limb stack so the
-            # batched (component) axis rides the fast buffered kernel.
-            last_coeff = ntt_inverse_stacked(
-                matrix[..., k - 1 : k, :],
-                self.stacked_tables_rows((dropped_idx,)),
-            )[..., 0, :]
-            is_high = last_coeff > half
-            st = self.stacked_modulus(k - 1)
-            inv_d, q_hi, q_lo, d_mod = self._scalar_columns(dropped_idx, k - 1)
-            r = barrett_reduce_64(last_coeff[..., None, :], st)
-            # Centered representative: r - d when the residue is
-            # "negative" (subtracting 0 elsewhere is a value-exact no-op
-            # since r < q_j, same result as the reference np.where).
-            r = sub_mod(r, d_mod * is_high[..., None, :], st)
-            # Lazy forward transform + lazy difference: the [0, 4p)
-            # window folds into the final Harvey multiply by d^{-1},
-            # skipping the NTT's correction pass (values unchanged).
-            r_ntt = ntt_forward_stacked(
-                r, self.stacked_tables.prefix(k - 1), lazy=True
-            )
-            return packedops.lazy_diff_mul_operand_stacked(
-                matrix[..., : k - 1, :], r_ntt, inv_d, q_hi, q_lo, st
-            )
-
-        last_coeff = ntt_inverse(matrix[..., k - 1, :], self.tables[dropped_idx])
+        # The dropped row transforms as a one-limb stack so the batched
+        # (component) axis rides the fast buffered kernel.
+        last_coeff = ntt_inverse_stacked(
+            matrix[..., k - 1 : k, :],
+            self.stacked_tables_rows((dropped_idx,)),
+        )[..., 0, :]
         is_high = last_coeff > half
-        out = np.empty(matrix.shape[:-2] + (k - 1, self.degree), dtype=np.uint64)
-        for j in range(k - 1):
-            qj = self.key_base[j]
-            inv_d, d_mod = self._scalars(dropped_idx, j)
-            r = barrett_reduce_64(last_coeff, qj)
-            # Centered representative: r - d when the residue is "negative".
-            r = np.where(is_high, sub_mod(r, d_mod, qj), r)
-            r_ntt = ntt_forward(r, self.tables[j])
-            diff = sub_mod(matrix[..., j, :], r_ntt, qj)
-            out[..., j, :] = mul_mod(diff, inv_d, qj)
-        return out
+        st = self.stacked_modulus(k - 1)
+        inv_d, q_hi, q_lo, d_mod = self._scalar_columns(dropped_idx, k - 1)
+        r = barrett_reduce_64(last_coeff[..., None, :], st)
+        # Centered representative: r - d when the residue is "negative"
+        # (subtracting 0 elsewhere is a value-exact no-op since r < q_j).
+        r = sub_mod(r, d_mod * is_high[..., None, :], st)
+        # Lazy forward transform + lazy difference: the [0, 4p) window
+        # folds into the final multiply by d^{-1}, so a backend may skip
+        # the NTT's correction pass (values unchanged).
+        r_ntt = ntt_forward_stacked(
+            r, self.stacked_tables.prefix(k - 1), lazy=True
+        )
+        return _backend.kernels().lazy_diff_mul_operand(
+            matrix[..., : k - 1, :], r_ntt, inv_d, q_hi, q_lo, st
+        )
 
-    def rescale_ntt(self, matrix: np.ndarray, level: int, *,
-                    packed: bool | None = None) -> np.ndarray:
+    def rescale_ntt(self, matrix: np.ndarray, level: int) -> np.ndarray:
         """Rescale: drop ``q_{level-1}`` from a level-``level`` matrix."""
         if matrix.shape[-2] != level:
             raise ValueError("matrix does not match level")
-        return self.divide_round_drop_ntt(matrix, level - 1, packed=packed)
+        return self.divide_round_drop_ntt(matrix, level - 1)
 
     # -- lazy caches ------------------------------------------------------------------
 

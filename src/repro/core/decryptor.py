@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..modmath.ops import add_mod, mul_mod
 from .ciphertext import Ciphertext
 from .context import CkksContext
@@ -16,46 +14,21 @@ __all__ = ["Decryptor"]
 class Decryptor:
     """Secret-key decryptor; accepts any ciphertext size (Horner in s).
 
-    The packed path (default) runs each Horner step as one stacked
-    multiply-add over all level primes; ``packed=False`` keeps the
-    per-limb loop as the bit-identical reference.
+    Each Horner step is one stacked multiply-add over all level primes.
     """
 
-    def __init__(self, context: CkksContext, secret_key: SecretKey,
-                 *, packed: bool | None = None):
+    def __init__(self, context: CkksContext, secret_key: SecretKey):
         self.context = context
         self.sk = secret_key
-        self._packed_arg = packed
-
-    @property
-    def packed(self) -> bool:
-        if self._packed_arg is not None:
-            return self._packed_arg
-        from ..native import backend as _backend
-
-        return _backend.packed_default()
 
     def decrypt(self, ct: Ciphertext) -> Plaintext:
         if not ct.is_ntt:
             raise ValueError("ciphertext must be in NTT form")
-        level = ct.level
-        n = self.context.degree
-        if self.packed:
-            st = self.context.stacked_modulus(level)
-            s = self.sk.ntt_rows[:level]
-            # Horner: acc = ((c_k s + c_{k-1}) s + ...) + c_0, all primes at
-            # once (size >= 2, so the loop always rebinds acc: no copy needed).
-            acc = ct.data[ct.size - 1]
-            for comp in range(ct.size - 2, -1, -1):
-                acc = add_mod(mul_mod(acc, s, st), ct.data[comp], st)
-            return Plaintext(acc, ct.scale, is_ntt=True)
-        acc = np.zeros((level, n), dtype=np.uint64)
-        # Horner: acc = ((c_k s + c_{k-1}) s + ...) + c_0, done per prime.
-        for i in range(level):
-            m = self.context.modulus(i)
-            s = self.sk.ntt_rows[i]
-            row = ct.data[ct.size - 1, i].copy()
-            for comp in range(ct.size - 2, -1, -1):
-                row = add_mod(mul_mod(row, s, m), ct.data[comp, i], m)
-            acc[i] = row
+        st = self.context.stacked_modulus(ct.level)
+        s = self.sk.ntt_rows[: ct.level]
+        # Horner: acc = ((c_k s + c_{k-1}) s + ...) + c_0, all primes at
+        # once (size >= 2, so the loop always rebinds acc: no copy needed).
+        acc = ct.data[ct.size - 1]
+        for comp in range(ct.size - 2, -1, -1):
+            acc = add_mod(mul_mod(acc, s, st), ct.data[comp], st)
         return Plaintext(acc, ct.scale, is_ntt=True)

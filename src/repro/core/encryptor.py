@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..modmath.ops import add_mod, mul_mod
-from ..ntt.radix2 import ntt_forward, ntt_forward_stacked
+from ..ntt.radix2 import ntt_forward_stacked
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .keygen import KeyGenerator
@@ -20,41 +20,24 @@ __all__ = ["Encryptor"]
 class Encryptor:
     """Public-key encryptor; all arithmetic stays in NTT form.
 
-    ``packed`` selects the whole-stack kernels (default): signed samples
-    reduce against all level primes in one broadcast pass, transform
-    through one stacked NTT, and the masking products ``b u`` / ``a u``
-    run as single stacked calls.  ``packed=False`` keeps the per-limb
-    loops (bit-identical for the same seed: the sampling order is
-    unchanged).
+    Signed samples reduce against all level primes in one broadcast
+    pass, transform through one stacked NTT, and the masking products
+    ``b u`` / ``a u`` run as single stacked calls.  The sampling order
+    is fixed, so the same seed gives the same ciphertext under every
+    backend.
     """
 
     def __init__(self, context: CkksContext, public_key: PublicKey,
-                 *, seed: Optional[int] = None, packed: bool | None = None):
+                 *, seed: Optional[int] = None):
         self.context = context
         self.pk = public_key
         self.rng = np.random.default_rng(seed)
-        self._packed_arg = packed
-
-    @property
-    def packed(self) -> bool:
-        if self._packed_arg is not None:
-            return self._packed_arg
-        from ..native import backend as _backend
-
-        return _backend.packed_default()
 
     def _sample_signed_ntt(self, level: int, values: np.ndarray) -> np.ndarray:
-        if self.packed:
-            reduced = self.context.signed_to_rows(values, level)
-            return ntt_forward_stacked(
-                reduced, self.context.stacked_tables.prefix(level)
-            )
-        out = np.empty((level, self.context.degree), dtype=np.uint64)
-        for i in range(level):
-            m = self.context.modulus(i)
-            reduced = (values % np.int64(m.value)).astype(np.uint64)
-            out[i] = ntt_forward(reduced, self.context.tables[i])
-        return out
+        reduced = self.context.signed_to_rows(values, level)
+        return ntt_forward_stacked(
+            reduced, self.context.stacked_tables.prefix(level)
+        )
 
     def encrypt_zero(self, level: Optional[int] = None,
                      scale: Optional[float] = None) -> Ciphertext:
@@ -69,17 +52,9 @@ class Encryptor:
         e0_ntt = self._sample_signed_ntt(level, e0)
         e1_ntt = self._sample_signed_ntt(level, e1)
 
-        if self.packed:
-            st = self.context.stacked_modulus(level)
-            c0 = add_mod(mul_mod(self.pk.b[:level], u_ntt, st), e0_ntt, st)
-            c1 = add_mod(mul_mod(self.pk.a[:level], u_ntt, st), e1_ntt, st)
-            return Ciphertext(np.stack([c0, c1]), scale, is_ntt=True)
-        c0 = np.empty((level, n), dtype=np.uint64)
-        c1 = np.empty((level, n), dtype=np.uint64)
-        for i in range(level):
-            m = self.context.modulus(i)
-            c0[i] = add_mod(mul_mod(self.pk.b[i], u_ntt[i], m), e0_ntt[i], m)
-            c1[i] = add_mod(mul_mod(self.pk.a[i], u_ntt[i], m), e1_ntt[i], m)
+        st = self.context.stacked_modulus(level)
+        c0 = add_mod(mul_mod(self.pk.b[:level], u_ntt, st), e0_ntt, st)
+        c1 = add_mod(mul_mod(self.pk.a[:level], u_ntt, st), e1_ntt, st)
         return Ciphertext(np.stack([c0, c1]), scale, is_ntt=True)
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
@@ -87,11 +62,6 @@ class Encryptor:
         if not plaintext.is_ntt:
             raise ValueError("plaintext must be in NTT form")
         ct = self.encrypt_zero(level=plaintext.level, scale=plaintext.scale)
-        if self.packed:
-            st = self.context.stacked_modulus(plaintext.level)
-            ct.data[0] = add_mod(ct.data[0], plaintext.data, st)
-            return ct
-        for i in range(plaintext.level):
-            m = self.context.modulus(i)
-            ct.data[0, i] = add_mod(ct.data[0, i], plaintext.data[i], m)
+        st = self.context.stacked_modulus(plaintext.level)
+        ct.data[0] = add_mod(ct.data[0], plaintext.data, st)
         return ct

@@ -11,13 +11,16 @@ All operations act on double-CRT (RNS + NTT) ciphertexts:
 * ``mod_switch_to_next`` — drop a prime without scaling;
 * ``rotate``/``conjugate`` — Galois automorphism + key switch.
 
-The evaluator runs the packed-RNS path by default: every dyadic kernel
-is a handful of whole-tensor NumPy calls over the full ``(size, level,
-N)`` stack (per-limb constants broadcast from stacked columns, Fig. 10's
-RNS-axis parallelism), and the key-switch decomposition batches all
-``level * (level + 1)`` NTTs into stacked transforms.  ``packed=False``
-keeps the historical per-limb loops; both paths are bit-identical and
-the A/B property suite (``tests/test_packed_ab.py``) holds them to it.
+The evaluator is written once against the stacked kernel entry points:
+every dyadic op is a handful of whole-tensor calls over the full
+``(size, level, N)`` stack (per-limb constants broadcast from stacked
+columns, Fig. 10's RNS-axis parallelism), and the key-switch
+decomposition batches all ``level * (level + 1)`` NTTs into stacked
+transforms.  Which implementation those calls run — compiled, packed
+NumPy, or the per-limb oracle — is the process-wide backend's kernel
+table (:func:`repro.native.backend.kernels`), never the evaluator's
+choice; the A/B suite (``tests/test_packed_ab.py``) holds the three
+bit-identical.
 """
 
 from __future__ import annotations
@@ -27,17 +30,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..modmath import packedops
-from ..modmath.barrett import barrett_reduce_64
 from ..modmath.ops import add_mod, mad_mod, mul_mod, neg_mod, sub_mod
 from ..native import backend as _backend
-from ..native import glue as _native
-from ..ntt.radix2 import (
-    ntt_forward,
-    ntt_forward_stacked,
-    ntt_inverse,
-    ntt_inverse_stacked,
-)
+from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .galois import apply_galois_coeff, conjugation_galois_elt, rotation_galois_elt
@@ -51,27 +46,10 @@ SCALE_RTOL = 1e-9
 
 
 class Evaluator:
-    """Stateless evaluator bound to a context.
+    """Stateless evaluator bound to a context."""
 
-    ``packed`` selects the whole-tensor packed-RNS kernels or the
-    per-limb reference loops (the bit-identical oracle).  The default
-    (``None``) follows the process-wide backend selection
-    (:mod:`repro.native.backend`): packed under ``packed``/``native`` —
-    the stacked kernels themselves dispatch to the compiled library when
-    native is active — and per-limb under ``serial``.
-    """
-
-    def __init__(self, context: CkksContext, *, packed: bool | None = None):
+    def __init__(self, context: CkksContext):
         self.context = context
-        self._packed_arg = packed
-
-    @property
-    def packed(self) -> bool:
-        if self._packed_arg is not None:
-            return self._packed_arg
-        from ..native import backend as _backend
-
-        return _backend.packed_default()
 
     # -- shape checks ------------------------------------------------------------
 
@@ -95,8 +73,6 @@ class Evaluator:
         self._check_pair(a, b)
         self._check_scales(a.scale, b.scale)
         size = max(a.size, b.size)
-        if not self.packed:
-            return self._add_serial(a, b, size)
         common = min(a.size, b.size)
         if common == size:
             return Ciphertext(
@@ -112,26 +88,11 @@ class Evaluator:
             out[common:] = b.data[common:]
         return Ciphertext(out, a.scale)
 
-    def _add_serial(self, a: Ciphertext, b: Ciphertext, size: int) -> Ciphertext:
-        out = np.zeros((size, a.level, a.degree), dtype=np.uint64)
-        for i in range(a.level):
-            m = self.context.modulus(i)
-            for c in range(size):
-                if c < a.size and c < b.size:
-                    out[c, i] = add_mod(a.data[c, i], b.data[c, i], m)
-                elif c < a.size:
-                    out[c, i] = a.data[c, i]
-                else:
-                    out[c, i] = b.data[c, i]
-        return Ciphertext(out, a.scale)
-
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Element-wise ciphertext subtraction."""
         self._check_pair(a, b)
         self._check_scales(a.scale, b.scale)
         size = max(a.size, b.size)
-        if not self.packed:
-            return self._sub_serial(a, b, size)
         st = self._stacked(a.level)
         common = min(a.size, b.size)
         if common == size:
@@ -145,26 +106,10 @@ class Evaluator:
             out[common:] = sub_mod(np.uint64(0), b.data[common:], st)
         return Ciphertext(out, a.scale)
 
-    def _sub_serial(self, a: Ciphertext, b: Ciphertext, size: int) -> Ciphertext:
-        out = np.zeros((size, a.level, a.degree), dtype=np.uint64)
-        for i in range(a.level):
-            m = self.context.modulus(i)
-            for c in range(size):
-                av = a.data[c, i] if c < a.size else np.uint64(0)
-                bv = b.data[c, i] if c < b.size else np.uint64(0)
-                out[c, i] = sub_mod(av, bv, m)
-        return Ciphertext(out, a.scale)
-
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if ct.level != pt.level:
             raise ValueError("level mismatch with plaintext")
         self._check_scales(ct.scale, pt.scale)
-        if not self.packed:
-            out = ct.copy()
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                out.data[0, i] = add_mod(ct.data[0, i], pt.data[i], m)
-            return out
         # Only component 0 changes: fill the rest instead of copying the
         # whole ciphertext first and overwriting component 0 again.
         out = np.empty_like(ct.data)
@@ -179,56 +124,22 @@ class Evaluator:
         self._check_pair(a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects size-2 ciphertexts (relinearize first)")
-        if not self.packed:
-            return self._multiply_serial(a, b)
-        out = packedops.dyadic_product_stacked(
+        out = _backend.kernels().dyadic_product(
             a.data[0], a.data[1], b.data[0], b.data[1], self._stacked(a.level)
         )
-        return Ciphertext(out, a.scale * b.scale)
-
-    def _multiply_serial(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        out = np.zeros((3, a.level, a.degree), dtype=np.uint64)
-        for i in range(a.level):
-            m = self.context.modulus(i)
-            a0, a1 = a.data[0, i], a.data[1, i]
-            b0, b1 = b.data[0, i], b.data[1, i]
-            out[0, i] = mul_mod(a0, b0, m)
-            cross = add_mod(mul_mod(a0, b1, m), mul_mod(a1, b0, m), m)
-            out[1, i] = cross
-            out[2, i] = mul_mod(a1, b1, m)
         return Ciphertext(out, a.scale * b.scale)
 
     def square(self, a: Ciphertext) -> Ciphertext:
         """Ciphertext squaring (one fewer dyadic multiply than Mul)."""
         if a.size != 2:
             raise ValueError("square expects a size-2 ciphertext")
-        if not self.packed:
-            return self._square_serial(a)
-        out = packedops.dyadic_square_stacked(
+        out = _backend.kernels().dyadic_square(
             a.data[0], a.data[1], self._stacked(a.level)
         )
         return Ciphertext(out, a.scale * a.scale)
 
-    def _square_serial(self, a: Ciphertext) -> Ciphertext:
-        out = np.zeros((3, a.level, a.degree), dtype=np.uint64)
-        for i in range(a.level):
-            m = self.context.modulus(i)
-            a0, a1 = a.data[0, i], a.data[1, i]
-            out[0, i] = mul_mod(a0, a0, m)
-            c = mul_mod(a0, a1, m)
-            out[1, i] = add_mod(c, c, m)
-            out[2, i] = mul_mod(a1, a1, m)
-        return Ciphertext(out, a.scale * a.scale)
-
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Element-wise negation (free in CKKS: negate every component)."""
-        if not self.packed:
-            out = ct.copy()
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                for c in range(ct.size):
-                    out.data[c, i] = neg_mod(ct.data[c, i], m)
-            return out
         data = neg_mod(ct.data, self._stacked(ct.level))
         return Ciphertext(data, ct.scale, ct.is_ntt)
 
@@ -248,13 +159,6 @@ class Evaluator:
         every position — one broadcast modular addition per prime.
         """
         scaled = round(value * ct.scale)
-        if not self.packed:
-            out = ct.copy()
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                c = np.uint64(scaled % m.value)
-                out.data[0, i] = add_mod(ct.data[0, i], c, m)
-            return out
         out = np.empty_like(ct.data)
         out[0] = add_mod(
             ct.data[0], self._scalar_residues(scaled, ct.level),
@@ -273,15 +177,6 @@ class Evaluator:
         """
         scale = float(self.context.params.scale if scale is None else scale)
         scaled = round(value * scale)
-        if not self.packed:
-            out = ct.copy()
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                c = np.uint64(scaled % m.value)
-                for comp in range(ct.size):
-                    out.data[comp, i] = mul_mod(ct.data[comp, i], c, m)
-            out.scale = ct.scale * scale
-            return out
         data = mul_mod(
             ct.data, self._scalar_residues(scaled, ct.level),
             self._stacked(ct.level),
@@ -322,14 +217,6 @@ class Evaluator:
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if ct.level != pt.level:
             raise ValueError("level mismatch with plaintext")
-        if not self.packed:
-            out = ct.copy()
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                for c in range(ct.size):
-                    out.data[c, i] = mul_mod(ct.data[c, i], pt.data[i], m)
-            out.scale = ct.scale * pt.scale
-            return out
         data = mul_mod(ct.data, pt.data, self._stacked(ct.level))
         return Ciphertext(data, ct.scale * pt.scale, ct.is_ntt)
 
@@ -348,81 +235,40 @@ class Evaluator:
         ``r`` over the current primes plus the special prime.  This is
         the part *hoisting* shares across rotations of one ciphertext.
 
-        Packed: one stacked inverse NTT over all source primes, one
-        broadcast Barrett reduction onto the ``(level, level+1, N)``
-        grid, and one stacked forward NTT over the whole grid — versus
-        ``level * (level + 2)`` single-row transforms.
+        The table entry is one stacked inverse NTT over all source
+        primes, one broadcast Barrett reduction onto the ``(level,
+        level+1, N)`` grid, and one stacked forward NTT over the whole
+        grid — fused into a single call without the two intermediate
+        tensors when the backend has such a kernel.
         """
         ctx = self.context
-        if not self.packed:
-            return self._decompose_serial(poly_ntt, level)
-        target_rows = self._target_rows(level)
-        if _backend.is_native():
-            # Fully fused native kernel: iNTT -> Barrett -> NTT without
-            # materializing the two intermediate (level, level+1, N)
-            # tensors; falls through on any eligibility miss.
-            out = _native.ks_decompose(
-                poly_ntt,
-                ctx.stacked_tables.prefix(level),
-                ctx.stacked_tables_rows(target_rows),
-            )
-            if out is not None:
-                return out
-        d = ntt_inverse_stacked(poly_ntt, ctx.stacked_tables.prefix(level))
-        st_t = ctx.stacked_rows(target_rows)
-        reduced = barrett_reduce_64(d[:, None, :], st_t)
-        return ntt_forward_stacked(reduced, ctx.stacked_tables_rows(target_rows))
-
-    def _decompose_serial(self, poly_ntt: np.ndarray, level: int) -> np.ndarray:
-        ctx = self.context
-        n = ctx.degree
-        special_idx = len(ctx.key_base) - 1
-        target_rows = list(range(level)) + [special_idx]
-        out = np.empty((level, level + 1, n), dtype=np.uint64)
-        for i in range(level):
-            d = ntt_inverse(poly_ntt[i], ctx.tables[i])
-            for r, j in enumerate(target_rows):
-                mj = ctx.modulus(j)
-                reduced = barrett_reduce_64(d, mj)
-                out[i, r] = ntt_forward(reduced, ctx.tables[j])
-        return out
+        return _backend.kernels().ks_decompose(
+            poly_ntt,
+            ctx.stacked_tables.prefix(level),
+            ctx.stacked_tables_rows(self._target_rows(level)),
+        )
 
     def _accumulate_switch(self, decomposed: np.ndarray, level: int,
                            ksk: KSwitchKey) -> Tuple[np.ndarray, np.ndarray]:
         """Dyadic half of the key switch: key products + mod-down by P.
 
-        Packed: each source prime contributes one fused ``mad_mod`` over
-        all ``level + 1`` target rows (the paper's one-reduction
+        Each source prime contributes one fused ``mad_mod`` over all
+        ``level + 1`` target rows (the paper's one-reduction
         multiply-accumulate), instead of two calls per ``(i, r)`` pair.
         """
         ctx = self.context
-        n = ctx.degree
         special_idx = len(ctx.key_base) - 1
-        if self.packed:
-            target_rows = list(self._target_rows(level))
-            st_t = ctx.stacked_rows(tuple(target_rows))
-            acc0 = np.zeros((level + 1, n), dtype=np.uint64)
-            acc1 = np.zeros((level + 1, n), dtype=np.uint64)
-            for i in range(level):
-                key = ksk.data[i]
-                dn = decomposed[i]
-                acc0 = mad_mod(dn, key[0][target_rows], acc0, st_t)
-                acc1 = mad_mod(dn, key[1][target_rows], acc1, st_t)
-            d0 = ctx.divide_round_drop_ntt(acc0, special_idx, packed=True)
-            d1 = ctx.divide_round_drop_ntt(acc1, special_idx, packed=True)
-            return d0, d1
-        target_rows = list(range(level)) + [special_idx]
-        acc0 = np.zeros((level + 1, n), dtype=np.uint64)
-        acc1 = np.zeros((level + 1, n), dtype=np.uint64)
+        target_rows = list(self._target_rows(level))
+        st_t = ctx.stacked_rows(tuple(target_rows))
+        acc0 = np.zeros((level + 1, ctx.degree), dtype=np.uint64)
+        acc1 = np.zeros((level + 1, ctx.degree), dtype=np.uint64)
         for i in range(level):
             key = ksk.data[i]
-            for r, j in enumerate(target_rows):
-                mj = ctx.modulus(j)
-                dn = decomposed[i, r]
-                acc0[r] = add_mod(acc0[r], mul_mod(dn, key[0, j], mj), mj)
-                acc1[r] = add_mod(acc1[r], mul_mod(dn, key[1, j], mj), mj)
-        d0 = ctx.divide_round_drop_ntt(acc0, special_idx, packed=False)
-        d1 = ctx.divide_round_drop_ntt(acc1, special_idx, packed=False)
+            dn = decomposed[i]
+            acc0 = mad_mod(dn, key[0][target_rows], acc0, st_t)
+            acc1 = mad_mod(dn, key[1][target_rows], acc1, st_t)
+        d0 = ctx.divide_round_drop_ntt(acc0, special_idx)
+        d1 = ctx.divide_round_drop_ntt(acc1, special_idx)
         return d0, d1
 
     def _switch_key(
@@ -444,15 +290,9 @@ class Evaluator:
             raise ValueError("relinearize expects a size-3 ciphertext")
         d0, d1 = self._switch_key(ct.data[2], ct.level, rlk.key)
         out = np.empty((2, ct.level, ct.degree), dtype=np.uint64)
-        if self.packed:
-            st = self._stacked(ct.level)
-            out[0] = add_mod(ct.data[0], d0, st)
-            out[1] = add_mod(ct.data[1], d1, st)
-        else:
-            for i in range(ct.level):
-                m = self.context.modulus(i)
-                out[0, i] = add_mod(ct.data[0, i], d0[i], m)
-                out[1, i] = add_mod(ct.data[1, i], d1[i], m)
+        st = self._stacked(ct.level)
+        out[0] = add_mod(ct.data[0], d0, st)
+        out[1] = add_mod(ct.data[1], d1, st)
         return Ciphertext(out, ct.scale)
 
     # -- modulus management --------------------------------------------------------------
@@ -461,7 +301,7 @@ class Evaluator:
         """Divide by ``q_{l-1}`` and drop it (paper RS)."""
         if ct.level < 2:
             raise ValueError("cannot rescale below one remaining prime")
-        new = self.context.rescale_ntt(ct.data, ct.level, packed=self.packed)
+        new = self.context.rescale_ntt(ct.data, ct.level)
         dropped = self.context.modulus(ct.level - 1).value
         return Ciphertext(new, ct.scale / dropped)
 
@@ -486,31 +326,14 @@ class Evaluator:
         ctx = self.context
         level = ct.level
         base = ctx.level_base(level)
-        if self.packed:
-            coeff = ntt_inverse_stacked(
-                ct.data[:2], ctx.stacked_tables.prefix(level)
-            )
-            perm = apply_galois_coeff(coeff, elt, base)
-            rotated = ntt_forward_stacked(perm, ctx.stacked_tables.prefix(level))
-        else:
-            rotated = np.empty_like(ct.data[:2])
-            for c in range(2):
-                coeff = np.stack(
-                    [ntt_inverse(ct.data[c, i], ctx.tables[i]) for i in range(level)]
-                )
-                perm = apply_galois_coeff(coeff, elt, base)
-                for i in range(level):
-                    rotated[c, i] = ntt_forward(perm[i], ctx.tables[i])
+        tables = ctx.stacked_tables.prefix(level)
+        coeff = ntt_inverse_stacked(ct.data[:2], tables)
+        perm = apply_galois_coeff(coeff, elt, base)
+        rotated = ntt_forward_stacked(perm, tables)
         d0, d1 = self._switch_key(rotated[1], level, ksk)
         out = np.empty((2, level, ct.degree), dtype=np.uint64)
-        if self.packed:
-            out[0] = add_mod(rotated[0], d0, self._stacked(level))
-            out[1] = d1
-        else:
-            for i in range(level):
-                m = ctx.modulus(i)
-                out[0, i] = add_mod(rotated[0, i], d0[i], m)
-                out[1, i] = d1[i]
+        out[0] = add_mod(rotated[0], d0, self._stacked(level))
+        out[1] = d1
         return Ciphertext(out, ct.scale)
 
     def rotate(self, ct: Ciphertext, steps: int, galois_keys: GaloisKeys) -> Ciphertext:
@@ -557,13 +380,7 @@ class Evaluator:
             d0, d1 = self._accumulate_switch(rotated_decomp, level, ksk)
             c0_rot = apply_galois_ntt(ct.data[0], elt)
             data = np.empty((2, level, ct.degree), dtype=np.uint64)
-            if self.packed:
-                data[0] = add_mod(c0_rot, d0, self._stacked(level))
-                data[1] = d1
-            else:
-                for i in range(level):
-                    m = ctx.modulus(i)
-                    data[0, i] = add_mod(c0_rot[i], d0[i], m)
-                    data[1, i] = d1[i]
+            data[0] = add_mod(c0_rot, d0, self._stacked(level))
+            data[1] = d1
             out.append(Ciphertext(data, ct.scale))
         return out

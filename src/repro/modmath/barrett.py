@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..native import backend as _backend
 from .modulus import Modulus
 from .stacked import StackedModulus
 from .uint128 import add_carry, mul_high, mul_low, mul_wide, wrapping
@@ -23,9 +24,7 @@ __all__ = ["barrett_reduce_64", "barrett_reduce_128", "conditional_sub"]
 def conditional_sub(x, modulus):
     """Reduce ``x`` from ``[0, 2p)`` to ``[0, p)`` with one compare+select."""
     if isinstance(modulus, StackedModulus):
-        from . import packedops
-
-        return packedops.conditional_sub_stacked(x, modulus)
+        return _backend.kernels().conditional_sub(x, modulus)
     x = np.asarray(x, dtype=np.uint64)
     p = modulus.u64
     return np.where(x >= p, x - p, x)
@@ -39,9 +38,7 @@ def barrett_reduce_64(x, modulus):
     within 1 of the true quotient, so one conditional subtract finishes.
     """
     if isinstance(modulus, StackedModulus):
-        from . import packedops
-
-        return packedops.barrett_reduce_64_stacked(x, modulus)
+        return _backend.kernels().barrett_reduce_64(x, modulus)
     x = np.asarray(x, dtype=np.uint64)
     q = mul_high(x, modulus.ratio_hi)
     r = x - q * modulus.u64
@@ -57,9 +54,7 @@ def barrett_reduce_128(hi, lo, modulus):
     most 61 bits so the quotient estimate is off by at most one.
     """
     if isinstance(modulus, StackedModulus):
-        from . import packedops
-
-        return packedops.barrett_reduce_128_stacked(hi, lo, modulus)
+        return _backend.kernels().barrett_reduce_128(hi, lo, modulus)
     hi = np.asarray(hi, dtype=np.uint64)
     lo = np.asarray(lo, dtype=np.uint64)
     r0 = modulus.ratio_hi

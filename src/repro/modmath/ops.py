@@ -16,14 +16,16 @@ Each function accepts either a scalar :class:`Modulus` or a
 :class:`~repro.modmath.stacked.StackedModulus`: the stacked variant's
 ``(k, 1)`` constant columns broadcast per-limb constants across every
 residue row of a ``(..., k, n)`` stack in a single call (the packed-RNS
-hot path), running the exact same ufunc sequence as the scalar path.
+hot path).  Stacked calls run the selected backend's kernel table
+(:func:`repro.native.backend.kernels`); the scalar bodies below are the
+reference every table is held bit-identical to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import packedops
+from ..native import backend as _backend
 from .barrett import barrett_reduce_128, conditional_sub
 from .modulus import Modulus
 from .stacked import StackedModulus
@@ -47,7 +49,7 @@ def add_mod(a, b, modulus):
     Matches Fig. 3(b): add, compare, predicated subtract — three ops.
     """
     if isinstance(modulus, StackedModulus):
-        return packedops.add_mod_stacked(a, b, modulus)
+        return _backend.kernels().add_mod(a, b, modulus)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     s = a + b  # p < 2^63 so no wraparound for in-range inputs
@@ -58,7 +60,7 @@ def add_mod(a, b, modulus):
 def sub_mod(a, b, modulus):
     """``(a - b) mod p`` for ``a, b`` in ``[0, p)``."""
     if isinstance(modulus, StackedModulus):
-        return packedops.sub_mod_stacked(a, b, modulus)
+        return _backend.kernels().sub_mod(a, b, modulus)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     p = modulus.u64
@@ -70,7 +72,7 @@ def sub_mod(a, b, modulus):
 def neg_mod(a, modulus):
     """``(-a) mod p`` for ``a`` in ``[0, p)``."""
     if isinstance(modulus, StackedModulus):
-        return packedops.neg_mod_stacked(a, modulus)
+        return _backend.kernels().neg_mod(a, modulus)
     a = np.asarray(a, dtype=np.uint64)
     p = modulus.u64
     return np.where(a == 0, np.uint64(0), p - a)
@@ -79,7 +81,7 @@ def neg_mod(a, modulus):
 def mul_mod(a, b, modulus):
     """``(a * b) mod p`` via wide multiply + 128-bit Barrett reduction."""
     if isinstance(modulus, StackedModulus):
-        return packedops.mul_mod_stacked(a, b, modulus)
+        return _backend.kernels().mul_mod(a, b, modulus)
     hi, lo = mul_wide(a, b)
     return barrett_reduce_128(hi, lo, modulus)
 
@@ -94,7 +96,7 @@ def mad_mod(a, b, c, modulus):
     kernels.  Correct whenever ``a, b < 2**61`` and ``c < 2**63``.
     """
     if isinstance(modulus, StackedModulus):
-        return packedops.mad_mod_stacked(a, b, c, modulus)
+        return _backend.kernels().mad_mod(a, b, c, modulus)
     hi, lo = mul_wide(a, b)
     lo, carry = add_carry(lo, np.asarray(c, dtype=np.uint64))
     hi = hi + carry

@@ -1,8 +1,6 @@
 """Allocation-free packed-RNS kernels behind :mod:`repro.modmath.ops`.
 
-When ``add_mod``/``mul_mod``/... receive a
-:class:`~repro.modmath.stacked.StackedModulus`, they route here.  Every
-kernel computes the *same canonical values* as the scalar-modulus
+Every kernel computes the *same canonical values* as the scalar-modulus
 reference code (``ops.py`` / ``barrett.py``) — the A/B property suite
 compares them limb by limb — but the execution strategy is tuned for
 whole-tensor stacks:
@@ -23,20 +21,18 @@ whole-tensor stacks:
   cross products are added *before* the one reduction (the paper's
   mad_mod argument applied across components).
 
-When the :mod:`repro.native` backend is selected (auto-detected when a C
-toolchain is present, or via ``set_backend``/``REPRO_BACKEND``), every
-kernel here first offers the call to the compiled library — one memory
-pass per op instead of the ufunc sequences below — and falls through to
-the NumPy path only for ineligible shapes.  Both produce bit-identical
-outputs (three-way A/B suite in ``tests/test_packed_ab.py``).
+These are the bodies of the ``packed`` kernel table
+(:mod:`repro.native.tables`); the public ``add_mod``/``mul_mod``/...
+entry points reach them through :func:`repro.native.backend.kernels`,
+which under the native backend offers each call to the compiled library
+first.  All tables produce bit-identical outputs (three-way A/B suite
+in ``tests/test_packed_ab.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..native import backend as _backend
-from ..native import glue as _native
 from .scratch import ScratchRegistry
 from .stacked import StackedModulus
 
@@ -245,10 +241,6 @@ def _reduce128_into(hi, lo, K: _Consts, out, bufs, mask) -> None:
 
 
 def add_mod_stacked(a, b, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.add_mod(a, b, modulus)
-        if out is not None:
-            return out
     (a, b), shape, bufs, mask, K = _setup(modulus, a, b)
     out = np.empty(shape, dtype=np.uint64)
     np.add(a, b, out=bufs[0])
@@ -257,10 +249,6 @@ def add_mod_stacked(a, b, modulus: StackedModulus):
 
 
 def sub_mod_stacked(a, b, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.sub_mod(a, b, modulus)
-        if out is not None:
-            return out
     (a, b), shape, bufs, mask, K = _setup(modulus, a, b)
     out = np.empty(shape, dtype=np.uint64)
     np.add(a, K.p, out=bufs[0])
@@ -270,10 +258,6 @@ def sub_mod_stacked(a, b, modulus: StackedModulus):
 
 
 def neg_mod_stacked(a, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.neg_mod(a, modulus)
-        if out is not None:
-            return out
     (a,), shape, bufs, mask, K = _setup(modulus, a)
     out = np.empty(shape, dtype=np.uint64)
     # (p - a) * (a != 0): matches np.where(a == 0, 0, p - a) exactly.
@@ -284,10 +268,6 @@ def neg_mod_stacked(a, modulus: StackedModulus):
 
 
 def conditional_sub_stacked(x, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.conditional_sub(x, modulus)
-        if out is not None:
-            return out
     (x,), shape, bufs, mask, K = _setup(modulus, x)
     out = np.empty(shape, dtype=np.uint64)
     _cond_sub(x, K.p, bufs[0], out)
@@ -295,10 +275,6 @@ def conditional_sub_stacked(x, modulus: StackedModulus):
 
 
 def barrett_reduce_64_stacked(x, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.barrett_reduce_64(x, modulus)
-        if out is not None:
-            return out
     (x,), shape, bufs, mask, K = _setup(modulus, x)
     out = np.empty(shape, dtype=np.uint64)
     b0, b1, b2, b3, b4, b5, b6 = bufs[:7]
@@ -313,10 +289,6 @@ def barrett_reduce_64_stacked(x, modulus: StackedModulus):
 
 
 def barrett_reduce_128_stacked(hi, lo, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.barrett_reduce_128(hi, lo, modulus)
-        if out is not None:
-            return out
     (hi, lo), shape, bufs, mask, K = _setup(modulus, hi, lo)
     out = np.empty(shape, dtype=np.uint64)
     _reduce128_into(hi, lo, K, out, bufs, mask)
@@ -324,10 +296,6 @@ def barrett_reduce_128_stacked(hi, lo, modulus: StackedModulus):
 
 
 def mul_mod_stacked(a, b, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.mul_mod(a, b, modulus)
-        if out is not None:
-            return out
     (a, b), shape, bufs, mask, K = _setup(modulus, a, b)
     out = np.empty(shape, dtype=np.uint64)
     hi, lo = bufs[10], bufs[11]
@@ -337,10 +305,6 @@ def mul_mod_stacked(a, b, modulus: StackedModulus):
 
 
 def mad_mod_stacked(a, b, c, modulus: StackedModulus):
-    if _backend.is_native():
-        out = _native.mad_mod(a, b, c, modulus)
-        if out is not None:
-            return out
     (a, b, c), shape, bufs, mask, K = _setup(modulus, a, b, c)
     out = np.empty(shape, dtype=np.uint64)
     hi, lo = bufs[10], bufs[11]
@@ -363,10 +327,6 @@ def mul_mod_operand_stacked(x, w, wq_hi, wq_lo, modulus: StackedModulus):
     such as the rescale ``d^{-1}`` scaling.  Value-identical to
     ``mul_mod(x, w, modulus)``.
     """
-    if _backend.is_native():
-        out = _native.mul_operand(x, w, wq_hi, wq_lo, modulus)
-        if out is not None:
-            return out
     (x,), shape, bufs, mask, K = _setup(modulus, x)
     w = np.asarray(w, dtype=np.uint64)
     wq_hi = np.asarray(wq_hi, dtype=np.uint64)
@@ -395,10 +355,6 @@ def lazy_diff_mul_operand_stacked(m, r_lazy, w, wq_hi, wq_lo,
     ``mul_mod(sub_mod(m, reduce(r_lazy)), w)`` without ever fully
     reducing the NTT output.
     """
-    if _backend.is_native():
-        out = _native.lazy_diff_mul_operand(m, r_lazy, w, wq_hi, wq_lo, modulus)
-        if out is not None:
-            return out
     (m, r_lazy), shape, bufs, mask, K = _setup(modulus, m, r_lazy)
     w = np.asarray(w, dtype=np.uint64)
     wq_hi = np.asarray(wq_hi, dtype=np.uint64)
@@ -430,10 +386,6 @@ def dyadic_product_stacked(a0, a1, b0, b1, modulus: StackedModulus):
     never underflows).  Canonically identical to
     ``add_mod(mul_mod(a0,b1), mul_mod(a1,b0))`` for the cross term.
     """
-    if _backend.is_native():
-        out = _native.dyadic_product(a0, a1, b0, b1, modulus)
-        if out is not None:
-            return out
     (a0, a1, b0, b1), shape, bufs, mask, K = _setup(modulus, a0, a1, b0, b1)
     out = np.empty((3,) + shape, dtype=np.uint64)
     hiA, loA = bufs[10], bufs[11]
@@ -465,10 +417,6 @@ def dyadic_square_stacked(a0, a1, modulus: StackedModulus):
     reduction; canonically identical to ``add_mod(c, c)`` with
     ``c = mul_mod(a0, a1)``.
     """
-    if _backend.is_native():
-        out = _native.dyadic_square(a0, a1, modulus)
-        if out is not None:
-            return out
     (a0, a1), shape, bufs, mask, K = _setup(modulus, a0, a1)
     out = np.empty((3,) + shape, dtype=np.uint64)
     hi, lo = bufs[10], bufs[11]

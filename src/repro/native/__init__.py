@@ -37,10 +37,11 @@ suite in ``tests/test_packed_ab.py``.
 Backend selection (:mod:`repro.native.backend`): ``set_backend("native"
 | "packed" | "serial" | "auto")``, the ``REPRO_BACKEND`` env var, or
 auto-detection (native when a toolchain is present, with a single logged
-fallback otherwise).  ``NTTEngine``, the packed modmath kernels,
-``CkksContext``, and the RNS scalers all dispatch through it, so
-``Evaluator``, ``GpuEvaluator``, and the whole serving stack inherit the
-fast path transparently.
+fallback otherwise).  The selection names one kernel table
+(:mod:`repro.native.tables`) that every stacked entry point reads
+through :func:`repro.native.backend.kernels`, so ``Evaluator``,
+``GpuEvaluator``, and the whole serving stack inherit the fast path
+transparently.
 """
 
 from .backend import (

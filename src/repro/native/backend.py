@@ -1,6 +1,8 @@
 """Backend selection for the hot numeric path.
 
-Three execution strategies implement the same bit-identical arithmetic:
+Three kernel tables (:mod:`repro.native.tables`) implement the same
+surface with bit-identical arithmetic; :func:`kernels` returns the
+selected one and is the only place the selection is read:
 
 ``native``
     Runtime-compiled C kernels (fused stacked-NTT butterflies, dyadic
@@ -9,7 +11,8 @@ Three execution strategies implement the same bit-identical arithmetic:
     The packed-RNS NumPy kernels (:mod:`repro.modmath.packedops`,
     stacked NTT): whole ``(size, level, N)`` stacks per ufunc pass.
 ``serial``
-    The per-limb reference loops retained as the oracle.
+    Row loops over the scalar-modulus reference kernels, retained as
+    the oracle.
 
 Selection precedence:
 
@@ -36,8 +39,7 @@ from typing import Optional
 __all__ = [
     "BACKENDS", "BackendUnavailableError",
     "set_backend", "get_backend", "use_backend",
-    "resolve", "is_native", "is_serial", "packed_default",
-    "invalidate",
+    "kernels", "invalidate",
     "note_kernel_fault", "degrade", "breaker_state", "reset_breaker",
     "kernel_fault_threshold",
 ]
@@ -49,7 +51,7 @@ _AUTO = "auto"
 
 _LOCK = threading.RLock()
 _EXPLICIT: Optional[str] = None   # set_backend choice (None = follow env/auto)
-_RESOLVED: Optional[str] = None   # memoized resolution for the hot path
+_TABLE = None                     # memoized kernel table for the hot path
 _ENV_WARNED = False
 _DEGRADE_WARNED = False
 
@@ -100,21 +102,28 @@ def _resolve_locked() -> str:
     return choice
 
 
-def resolve() -> str:
-    """The backend every stacked kernel dispatches on (memoized)."""
-    global _RESOLVED
-    mode = _RESOLVED
-    if mode is None:
+def kernels():
+    """The kernel table every stacked entry point dispatches through.
+
+    Memoized; :func:`set_backend`, :func:`use_backend`, :func:`degrade`
+    and :func:`invalidate` drop the memo, so swapping the backend swaps
+    this one object.
+    """
+    global _TABLE
+    table = _TABLE
+    if table is None:
         with _LOCK:
-            mode = _RESOLVED
-            if mode is None:
-                mode = _RESOLVED = _resolve_locked()
-    return mode
+            table = _TABLE
+            if table is None:
+                from .tables import TABLES
+
+                table = _TABLE = TABLES[_resolve_locked()]
+    return table
 
 
 def get_backend() -> str:
     """The currently resolved backend name."""
-    return resolve()
+    return kernels().name
 
 
 def set_backend(name: Optional[str], *, threads: Optional[int] = None) -> str:
@@ -128,7 +137,7 @@ def set_backend(name: Optional[str], *, threads: Optional[int] = None) -> str:
     shorthand for :func:`repro.native.set_threads`; it applies to the
     native library regardless of which backend ends up selected.
     """
-    global _EXPLICIT, _RESOLVED
+    global _EXPLICIT, _TABLE
     if threads is not None:
         from . import glue
 
@@ -150,14 +159,14 @@ def set_backend(name: Optional[str], *, threads: Optional[int] = None) -> str:
         )
     with _LOCK:
         _EXPLICIT = name
-        _RESOLVED = None
-    return resolve()
+        _TABLE = None
+    return get_backend()
 
 
 @contextmanager
 def use_backend(name: Optional[str]):
     """Temporarily select a backend (tests and benchmarks)."""
-    global _EXPLICIT, _RESOLVED
+    global _EXPLICIT, _TABLE
     with _LOCK:
         prev = _EXPLICIT
     set_backend(name)
@@ -166,14 +175,14 @@ def use_backend(name: Optional[str]):
     finally:
         with _LOCK:
             _EXPLICIT = prev
-            _RESOLVED = None
+            _TABLE = None
 
 
 def invalidate() -> None:
     """Drop the memoized resolution (after env or library-state changes)."""
-    global _RESOLVED, _ENV_WARNED, _DEGRADE_WARNED
+    global _TABLE, _ENV_WARNED, _DEGRADE_WARNED
     with _LOCK:
-        _RESOLVED = None
+        _TABLE = None
         _ENV_WARNED = False
         _DEGRADE_WARNED = False
 
@@ -230,17 +239,15 @@ def degrade(*, reason: str = "") -> str:
     in ``repro_backend_degraded_total``.  Already at ``serial`` this is
     a no-op.
     """
-    global _EXPLICIT, _RESOLVED, _BREAKER_FAULTS, _BREAKER_DEGRADED
+    global _EXPLICIT, _TABLE, _BREAKER_FAULTS, _BREAKER_DEGRADED
     with _LOCK:
-        current = _RESOLVED
-        if current is None:
-            current = _resolve_locked()
+        current = _TABLE.name if _TABLE is not None else _resolve_locked()
         if current == "serial":
             _BREAKER_FAULTS = 0
             return "serial"
         nxt = "packed" if current == "native" else "serial"
         _EXPLICIT = nxt
-        _RESOLVED = None
+        _TABLE = None
         _BREAKER_DEGRADED = nxt
         _BREAKER_FAULTS = 0
     logger.warning(
@@ -277,16 +284,3 @@ def reset_breaker() -> None:
     with _LOCK:
         _BREAKER_FAULTS = 0
         _BREAKER_DEGRADED = None
-
-
-def is_native() -> bool:
-    return resolve() == "native"
-
-
-def is_serial() -> bool:
-    return resolve() == "serial"
-
-
-def packed_default() -> bool:
-    """Default for the ``packed=`` flags: everything except ``serial``."""
-    return resolve() != "serial"

@@ -4,15 +4,11 @@ A polynomial in RNS form is a ``(k, n)`` uint64 matrix (one residue row
 per prime); ciphertext stacks add leading axes.  In the paper's terms,
 both the RNS dimension and the batch dimension are sources of
 embarrassing parallelism (Fig. 10); here they are NumPy axes of one
-stacked transform: by default the engine runs each butterfly stage once
-across *all* primes and components via
+stacked transform: the engine hands the whole stack to
 :func:`~repro.ntt.radix2.ntt_forward_stacked` /
-:func:`~repro.ntt.radix2.ntt_inverse_stacked`.
-
-``packed=False`` keeps the historical row-by-row execution (one
-fully-vectorized transform per prime).  Both paths are bit-identical —
-the per-limb path is retained as the oracle reference for the A/B
-property suite.
+:func:`~repro.ntt.radix2.ntt_inverse_stacked`, which run the selected
+backend's kernel table (compiled, packed NumPy, or the row-by-row
+oracle — all bit-identical).
 """
 
 from __future__ import annotations
@@ -22,26 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from ..modmath import Modulus, mul_mod
-from ..native import backend as _backend
 from ..rns import RNSBase
-from .radix2 import ntt_forward, ntt_forward_stacked, ntt_inverse, ntt_inverse_stacked
-from .tables import NTTTables, StackedNTTTables, get_stacked_tables, get_tables
+from .radix2 import ntt_forward_stacked, ntt_inverse_stacked
+from .tables import StackedNTTTables, get_stacked_tables
 
 __all__ = ["NTTEngine"]
 
 
 class NTTEngine:
-    """Forward/inverse negacyclic NTT over all primes of an RNS base.
+    """Forward/inverse negacyclic NTT over all primes of an RNS base."""
 
-    ``packed=None`` (the default) follows the process-wide backend
-    selection (:mod:`repro.native.backend`): the stacked path under
-    ``packed``/``native`` — the stacked transforms themselves dispatch
-    to the compiled kernels when native is active — and the per-row
-    reference loop under ``serial``.  Passing an explicit boolean pins
-    the engine regardless of backend.
-    """
-
-    def __init__(self, degree: int, base: RNSBase, *, packed: bool | None = None):
+    def __init__(self, degree: int, base: RNSBase):
         for m in base:
             if not m.supports_ntt(degree):
                 raise ValueError(
@@ -49,15 +36,7 @@ class NTTEngine:
                 )
         self.degree = degree
         self.base = base
-        self._packed_arg = packed
-        self.tables: list[NTTTables] = [get_tables(degree, m) for m in base]
         self.stacked: StackedNTTTables = get_stacked_tables(degree, base)
-
-    @property
-    def packed(self) -> bool:
-        if self._packed_arg is not None:
-            return self._packed_arg
-        return _backend.packed_default()
 
     def _check(self, matrix: np.ndarray, rows: int | None = None) -> None:
         if matrix.shape[-1] != self.degree:
@@ -76,23 +55,13 @@ class NTTEngine:
         """
         self._check(matrix)
         k = matrix.shape[-2]
-        if self.packed:
-            return ntt_forward_stacked(matrix, self.stacked.prefix(k), lazy=lazy)
-        out = np.empty_like(matrix)
-        for i in range(k):
-            out[..., i, :] = ntt_forward(matrix[..., i, :], self.tables[i], lazy=lazy)
-        return out
+        return ntt_forward_stacked(matrix, self.stacked.prefix(k), lazy=lazy)
 
     def inverse(self, matrix: np.ndarray, *, lazy: bool = False) -> np.ndarray:
         """Inverse-NTT each residue row back to coefficient form."""
         self._check(matrix)
         k = matrix.shape[-2]
-        if self.packed:
-            return ntt_inverse_stacked(matrix, self.stacked.prefix(k), lazy=lazy)
-        out = np.empty_like(matrix)
-        for i in range(k):
-            out[..., i, :] = ntt_inverse(matrix[..., i, :], self.tables[i], lazy=lazy)
-        return out
+        return ntt_inverse_stacked(matrix, self.stacked.prefix(k), lazy=lazy)
 
     def dyadic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Element-wise product of two NTT-form stacks, per-prime reduction."""
@@ -100,12 +69,7 @@ class NTTEngine:
             raise ValueError("operand shapes differ")
         self._check(a)
         k = a.shape[-2]
-        if self.packed:
-            return mul_mod(a, b, self.stacked.modulus.prefix(k))
-        out = np.empty_like(a)
-        for i in range(k):
-            out[..., i, :] = mul_mod(a[..., i, :], b[..., i, :], self.base[i])
-        return out
+        return mul_mod(a, b, self.stacked.modulus.prefix(k))
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficient-form product in ``R_q = Z_q[x]/(x^n+1)`` via NTT.
@@ -121,6 +85,4 @@ class NTTEngine:
 
     def subengine(self, rows: int) -> "NTTEngine":
         """Engine over the first ``rows`` primes (a lower level)."""
-        return NTTEngine(
-            self.degree, self.base.prefix(rows), packed=self._packed_arg
-        )
+        return NTTEngine(self.degree, self.base.prefix(rows))

@@ -31,7 +31,6 @@ from ..modmath.harvey import reduce_from_lazy
 from ..modmath.scratch import ScratchRegistry
 from ..modmath.uint128 import mul_high, mul_low, wrapping
 from ..native import backend as _backend
-from ..native import glue as _native
 from .tables import NTTTables, StackedNTTTables
 
 __all__ = [
@@ -260,28 +259,44 @@ def _lazy_mul_into(y, w, wq_hi, wq_lo, p, out, s0, s1, s2, s3, s4) -> None:
 _COPY_THROUGH_T = 512
 
 
-@wrapping
 def ntt_forward_stacked(
     x: np.ndarray, st: StackedNTTTables, *, lazy: bool = False
 ) -> np.ndarray:
     """Out-of-place forward NTT of a whole ``(..., k, n)`` limb stack.
 
+    Runs the selected backend's kernel table: one compiled call for the
+    whole stage chain (native), :func:`ntt_forward_packed` (packed), or
+    :func:`ntt_forward` row by row (serial).  Laziness semantics and
+    output values are the same in all three, bit for bit.
+    """
+    _check_stacked(x, st)
+    return _backend.kernels().ntt_forward(x, st, lazy=lazy)
+
+
+def ntt_inverse_stacked(
+    x: np.ndarray, st: StackedNTTTables, *, lazy: bool = False
+) -> np.ndarray:
+    """Out-of-place inverse NTT of a whole ``(..., k, n)`` limb stack.
+
+    Dispatches like :func:`ntt_forward_stacked`; bit-identical to
+    :func:`ntt_inverse` applied row by row.
+    """
+    _check_stacked(x, st)
+    return _backend.kernels().ntt_inverse(x, st, lazy=lazy)
+
+
+@wrapping
+def ntt_forward_packed(
+    x: np.ndarray, st: StackedNTTTables, *, lazy: bool = False
+) -> np.ndarray:
+    """The packed-table body of :func:`ntt_forward_stacked`.
+
     Each butterfly stage is a single vectorized pass across all ``k``
     limbs (and any leading ciphertext-component axes): the per-limb
     twiddle grids broadcast (or are materialized) per stage and the
-    per-limb moduli broadcast from ``(k, 1, 1)`` columns.  Laziness
-    semantics and output values match :func:`ntt_forward` applied row
-    by row, bit for bit.
-
-    Under the native backend the whole stage chain runs as one compiled
-    call (:func:`repro.native.glue.ntt_forward`) — same values, one
-    memory pass per stage instead of ~20.
+    per-limb moduli broadcast from ``(k, 1, 1)`` columns.
     """
-    k = _check_stacked(x, st)
-    if _backend.is_native():
-        out = _native.ntt_forward(x, st, lazy=lazy)
-        if out is not None:
-            return out
+    k = len(st)
     n = st.degree
     out = np.array(x, dtype=np.uint64, copy=True)
     lead = out.shape[:-2]
@@ -318,20 +333,11 @@ def ntt_forward_stacked(
 
 
 @wrapping
-def ntt_inverse_stacked(
+def ntt_inverse_packed(
     x: np.ndarray, st: StackedNTTTables, *, lazy: bool = False
 ) -> np.ndarray:
-    """Out-of-place inverse NTT of a whole ``(..., k, n)`` limb stack.
-
-    Bit-identical to :func:`ntt_inverse` applied row by row.  Under the
-    native backend the stage chain plus the fused ``n^{-1}`` scaling run
-    as one compiled call.
-    """
-    k = _check_stacked(x, st)
-    if _backend.is_native():
-        out = _native.ntt_inverse(x, st, lazy=lazy)
-        if out is not None:
-            return out
+    """The packed-table body of :func:`ntt_inverse_stacked`."""
+    k = len(st)
     n = st.degree
     out = np.array(x, dtype=np.uint64, copy=True)
     lead = out.shape[:-2]

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..modmath import Modulus, mul_mod
 from ..modmath.ops import add_mod
-from ..native import backend as _backend
 from .base import RNSBase
 
 __all__ = ["BaseConverter"]
@@ -28,10 +27,11 @@ class BaseConverter:
     """Precomputed fast conversion from ``ibase`` to ``obase``.
 
     Precomputes ``inv_punctured`` scalars of the input base and the
-    ``(q/q_i) mod p_j`` matrix.  :meth:`convert` runs the packed-RNS
-    path: one whole-tensor multiply per step with the per-limb constants
-    broadcast from stacked columns; :meth:`convert_reference` keeps the
-    per-limb loop as the bit-identical oracle.
+    ``(q/q_i) mod p_j`` matrix.  :meth:`convert` is written against the
+    stacked kernels: one whole-tensor multiply per step with the
+    per-limb constants broadcast from stacked columns;
+    :meth:`convert_reference` keeps the per-limb loop as the
+    bit-identical oracle.
     """
 
     def __init__(self, ibase: RNSBase, obase: RNSBase):
@@ -55,19 +55,15 @@ class BaseConverter:
     def convert(self, matrix: np.ndarray) -> np.ndarray:
         """Convert a ``(k, n)`` residue matrix to ``(m, n)`` over obase.
 
-        Packed: ``y`` is one stacked multiply over all input limbs; the
+        ``y`` is one stacked multiply over all input limbs; the
         ``k * m`` output products land as one ``(k, m, n)`` tensor and
         fold with ``k`` stacked additions.  Bit-identical to
-        :meth:`convert_reference` (same accumulation order per limb).
-        Under the ``serial`` backend the reference loop runs instead;
-        under ``native`` the stacked calls dispatch to the compiled
-        kernels.
+        :meth:`convert_reference` (same accumulation order per limb)
+        under every backend.
         """
         k, n = matrix.shape
         if k != len(self.ibase):
             raise ValueError("matrix does not match input base")
-        if _backend.is_serial():
-            return self.convert_reference(matrix)
         ist = self.ibase.stacked
         ost = self.obase.stacked
         # y_i = [x_i * inv_punc_i] mod q_i  -- exact, per input prime.

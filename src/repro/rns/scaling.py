@@ -25,7 +25,6 @@ import numpy as np
 from ..modmath import Modulus, inv_mod, mul_mod
 from ..modmath.ops import sub_mod
 from ..native import backend as _backend
-from ..native import glue as _native
 from .base import RNSBase
 
 __all__ = ["LastModulusScaler"]
@@ -59,40 +58,18 @@ class LastModulusScaler:
         """Apply divide-and-round to a ``(k, n)`` matrix; returns ``(k-1, n)``.
 
         The last row must be the residues modulo the dropped modulus.
-        Packed: the centered-residue correction and the final multiply
-        run once over the whole ``(k-1, n)`` kept stack; bit-identical
-        to :meth:`divide_round_reference`.  Backend dispatch: under
-        ``native`` the whole sequence is one fused compiled pass
-        (``repro_scaler_tail``); under ``serial`` the per-limb reference
-        loop runs instead.
+        The centered-residue correction and the final multiply run as
+        the backend's ``scaler_tail`` kernel — one fused compiled pass
+        under ``native``, stacked calls over the whole ``(k-1, n)`` kept
+        stack otherwise; bit-identical to :meth:`divide_round_reference`.
         """
         k, n = matrix.shape
         if k != len(self.base):
             raise ValueError("matrix does not match base")
-        mode = _backend.resolve()
-        if mode == "serial":
-            return self.divide_round_reference(matrix)
-        if mode == "native":
-            out = _native.scaler_tail(
-                matrix, self._half_d, self.kept.stacked,
-                self._inv_d, self._inv_d_quot, self._d_mod,
-            )
-            if out is not None:
-                return out
-        last = matrix[-1]
-        st = self.kept.stacked
-        is_high = last.astype(np.uint64) > np.uint64(self._half_d)
-        # r mod q_j for the centered representative (see reference method
-        # for the derivation).  When d < q_j the % is a value-exact no-op
-        # (last < d < q_j), so it can run unconditionally across limbs.
-        last_mod = last[None, :] % st.u64
-        r = np.where(
-            is_high[None, :],
-            sub_mod(last_mod, self._d_mod[:, None], st),
-            last_mod,
+        return _backend.kernels().scaler_tail(
+            matrix, self._half_d, self.kept.stacked,
+            self._inv_d, self._inv_d_quot, self._d_mod,
         )
-        diff = sub_mod(matrix[:-1], r, st)
-        return mul_mod(diff, self._inv_d[:, None], st)
 
     def divide_round_reference(self, matrix: np.ndarray) -> np.ndarray:
         """Per-limb oracle for :meth:`divide_round`."""

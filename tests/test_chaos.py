@@ -68,7 +68,7 @@ class TestChaosSoak:
 class TestCircuitBreaker:
     def test_trips_at_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_FAULT_THRESHOLD", raising=False)
-        start = backend.resolve()
+        start = backend.get_backend()
         if start == "serial":
             pytest.skip("already at the lowest tier")
         expect = "packed" if start == "native" else "serial"

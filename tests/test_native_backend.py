@@ -169,47 +169,114 @@ def test_native_backend_dispatches_bit_identically(restore_native):
     st, a, b = _stacked(seed=11)
     with use_backend("packed"):
         want = mul_mod(a, b, st)
-    with use_backend("native"):
-        got = mul_mod(a, b, st)
-    assert np.array_equal(got, want)
+    for name in ("native", "serial"):
+        with use_backend(name):
+            assert np.array_equal(mul_mod(a, b, st), want), name
 
 
-def test_packed_pin_survives_serial_backend(restore_native):
-    """Evaluator(packed=True) stays packed end-to-end under a serial backend.
+# -- one selector, one seam ---------------------------------------------------
 
-    Regression: the key-switch mod-down used to call
-    ``divide_round_drop_ntt`` without threading the pin, silently running
-    the per-limb loop inside a packed-pinned evaluator.
-    """
-    from unittest import mock
 
+def test_backend_is_read_only_through_the_kernel_table():
+    """No module outside ``repro/native`` branches on the backend, and no
+    public callable of the scheme layers takes a ``packed`` selector."""
+    import importlib
+    import inspect
+    import pkgutil
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    probe = re.compile(
+        r"\b(is_native|is_serial|packed_default)\s*\(|backend\.resolve\s*\("
+    )
+    offenders = [
+        f"{path.relative_to(root)}:{lineno}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "native"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if probe.search(line)
+    ]
+    assert not offenders, offenders
+
+    def callables(obj):
+        yield obj
+        if inspect.isclass(obj):
+            for name, member in vars(obj).items():
+                if not name.startswith("_") or name == "__init__":
+                    if inspect.isfunction(member):
+                        yield member
+
+    with_packed = []
+    for pkg_name in ("repro.core", "repro.ntt", "repro.rns"):
+        pkg = importlib.import_module(pkg_name)
+        for info in pkgutil.iter_modules(pkg.__path__, pkg_name + "."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if name.startswith("_") or \
+                        getattr(obj, "__module__", None) != info.name:
+                    continue
+                if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+                    continue
+                for fn in callables(obj):
+                    try:
+                        params = inspect.signature(fn).parameters
+                    except (TypeError, ValueError):
+                        continue
+                    if "packed" in params:
+                        with_packed.append(f"{info.name}.{fn.__qualname__}")
+    assert not with_packed, with_packed
+
+
+@pytest.mark.skipif(not HAVE_TOOLCHAIN, reason="no usable C toolchain")
+def test_same_evaluator_bit_identical_across_breaker_trips(restore_native):
+    """One Evaluator, created under native, keeps its outputs as the
+    circuit breaker swaps the kernel table native -> packed -> serial."""
     from repro.core import CkksContext, CkksParameters, Evaluator, KeyGenerator
     from repro.core.ciphertext import Ciphertext
+    from repro.native import backend
+    from repro.obs import metrics as obs_metrics
 
     params = CkksParameters.default(
         degree=64, levels=2, scale_bits=23, first_bits=30, special_bits=30
     )
     ctx = CkksContext(params)
-    keygen = KeyGenerator(ctx, seed=9)
-    rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
+    rlk = KeyGenerator(ctx, seed=9).relin_key()
     rng = np.random.default_rng(2)
-    data = np.empty((3, 2, 64), dtype=np.uint64)
-    for i in range(2):
-        data[:, i] = rng.integers(0, ctx.modulus(i).value, (3, 64),
-                                  dtype=np.uint64)
-    t3 = Ciphertext(data, float(params.scale))
+    level = ctx.max_level
 
-    want = ev.relinearize(t3, rlk).data
-    seen = []
-    orig = ctx.divide_round_drop_ntt
+    def random_ct():
+        data = np.empty((2, level, 64), dtype=np.uint64)
+        for i in range(level):
+            data[:, i] = rng.integers(0, ctx.modulus(i).value, (2, 64),
+                                      dtype=np.uint64)
+        return Ciphertext(data, float(params.scale))
 
-    def spy(matrix, dropped_idx, *, packed=None):
-        seen.append(packed)
-        return orig(matrix, dropped_idx, packed=packed)
+    a, b = random_ct(), random_ct()
+    with obs_metrics.use_registry() as registry:
+        try:
+            set_backend("native")
+            ev = Evaluator(ctx)
 
-    with use_backend("serial"):
-        with mock.patch.object(ctx, "divide_round_drop_ntt", side_effect=spy):
-            got = ev.relinearize(t3, rlk).data
-    assert seen and all(p is True for p in seen)
-    assert np.array_equal(got, want)
+            def run():
+                prod = ev.relinearize(ev.multiply(a, b), rlk)
+                return ev.rescale(prod).data
+
+            want = run()
+            for expect in ("packed", "serial"):
+                assert backend.degrade(reason="test") == expect
+                assert get_backend() == expect
+                assert np.array_equal(run(), want), expect
+        finally:
+            backend.reset_breaker()
+        degraded = {
+            tuple(sorted(inst.labels)): inst.value()
+            for inst in registry.instruments()
+            if inst.name == "repro_backend_degraded_total"
+        }
+    assert degraded == {
+        (("from", "native"), ("to", "packed")): 1.0,
+        (("from", "packed"), ("to", "serial")): 1.0,
+    }

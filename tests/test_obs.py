@@ -48,6 +48,9 @@ def test_percentile_rank_pins_n1_to_n8():
 def test_percentile_half_up_not_bankers():
     # n=2, q=50: rank 0.5+0.5 = 1.0 exactly after +0.5 -> floor gives 1.
     assert percentile([1.0, 2.0], 50) == 2.0
+    # Same rank on wall-millisecond latencies (the socket soak's input,
+    # whose private int(round(...)) helper picked the lower sample).
+    assert percentile([447.2, 521.9], 50) == 521.9
     # n=5, q=50: 0.5*4+0.5 = 2.5 -> floor 2 (banker's round(2.5) gives 2
     # too, but round(1.5)=2 while floor(1.5)=1: n=3 q=25 separates them).
     assert percentile([1.0, 2.0, 3.0], 25) == 2.0

@@ -1,12 +1,14 @@
 """A/B property suite: all execution backends are bit-identical.
 
-The packed execution path (stacked modmath kernels, stacked NTT, packed
-evaluator/encryptor/decryptor, packed rns converters) must produce the
-exact same uint64 outputs as the per-limb reference loops it replaced —
-same values, same lazy-reduction windows.  Hypothesis drives random
-moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and both
-laziness modes through every layer; a deterministic heavyweight case
-pins the paper-shaped N=4096, level-8 stack.
+Every layer (stacked modmath kernels, stacked NTT, evaluator /
+encryptor / decryptor, rns converters) is written once against the
+stacked kernel entry points; the backend's kernel table decides what
+runs.  One object is driven under ``use_backend("packed")`` and
+``use_backend("serial")`` and must produce the exact same uint64
+outputs — same values, same lazy-reduction windows.  Hypothesis drives
+random moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and
+both laziness modes through every layer; a deterministic heavyweight
+case pins the paper-shaped N=4096, level-8 stack.
 
 The ``test_native_*`` cases extend the suite to a **three-way** check:
 the compiled kernel backend (:mod:`repro.native`) against both the
@@ -63,6 +65,13 @@ from repro.rns import BaseConverter, LastModulusScaler, RNSBase
 DEGREES = [16, 64, 4096]
 
 
+def _under(name, fn):
+    """Run ``fn()`` with backend ``name`` selected (and in effect)."""
+    with use_backend(name):
+        assert repro_native.get_backend() == name
+        return fn()
+
+
 def _distinct_ntt_base(rng: np.random.Generator, k: int, degree: int) -> RNSBase:
     """k distinct NTT-friendly primes of random widths for ``degree``."""
     from repro.modmath import gen_ntt_primes
@@ -81,6 +90,84 @@ def _rand_rows(rng, base, shape_tail):
 # -- stacked modmath vs per-limb ---------------------------------------------
 
 
+def _modmath_case(seed, k, n):
+    """Random operands for every elementwise kernel-table entry.
+
+    Returns ``(run_all, per_limb)``: ``run_all()`` evaluates each stacked
+    entry point under the backend in effect; ``per_limb`` holds the
+    scalar-``Modulus`` reference rows for the entries that have one.
+    """
+    from repro.native.backend import kernels
+
+    rng = np.random.default_rng(seed)
+    mods = [
+        Modulus(int(p))
+        for p in _distinct_ntt_base(rng, k, 16).values
+    ]
+    stacked = StackedModulus(mods)
+
+    def rows(bound_of):
+        return np.stack(
+            [rng.integers(0, bound_of(m), n, dtype=np.uint64) for m in mods]
+        )
+
+    a, b, c, m_in = (rows(lambda m: m.value) for _ in range(4))
+    lazy = rows(lambda m: 2 * m.value)
+    r_lazy = rows(lambda m: 4 * m.value)
+    hi = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
+    lo = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
+    w = np.stack([rng.integers(1, m.value, 1, dtype=np.uint64) for m in mods])
+    wq = [(int(w[i, 0]) << 64) // mods[i].value for i in range(k)]
+    wq_hi = np.array([q >> 32 for q in wq], dtype=np.uint64)[:, None]
+    wq_lo = np.array([q & 0xFFFFFFFF for q in wq], dtype=np.uint64)[:, None]
+
+    def run_all():
+        return {
+            "add_mod": add_mod(a, b, stacked),
+            "sub_mod": sub_mod(a, b, stacked),
+            "neg_mod": neg_mod(a, stacked),
+            "mul_mod": mul_mod(a, b, stacked),
+            "mad_mod": mad_mod(a, b, c, stacked),
+            "conditional_sub": conditional_sub(lazy, stacked),
+            "barrett_reduce_64": barrett_reduce_64(lo, stacked),
+            "barrett_reduce_128": barrett_reduce_128(hi, lo, stacked),
+            "dot_mod": dot_mod(a, b, stacked),
+            "dyadic_product": kernels().dyadic_product(a, b, c, lazy, stacked),
+            "dyadic_square": kernels().dyadic_square(a, b, stacked),
+            "mul_operand": kernels().mul_operand(a, w, wq_hi, wq_lo, stacked),
+            "lazy_diff_mul_operand": kernels().lazy_diff_mul_operand(
+                m_in, r_lazy, w, wq_hi, wq_lo, stacked
+            ),
+        }
+
+    per_limb = {
+        "add_mod": [add_mod(a[i], b[i], mods[i]) for i in range(k)],
+        "sub_mod": [sub_mod(a[i], b[i], mods[i]) for i in range(k)],
+        "neg_mod": [neg_mod(a[i], mods[i]) for i in range(k)],
+        "mul_mod": [mul_mod(a[i], b[i], mods[i]) for i in range(k)],
+        "mad_mod": [mad_mod(a[i], b[i], c[i], mods[i]) for i in range(k)],
+        "conditional_sub": [conditional_sub(lazy[i], mods[i]) for i in range(k)],
+        "barrett_reduce_64": [barrett_reduce_64(lo[i], mods[i]) for i in range(k)],
+        "barrett_reduce_128": [
+            barrett_reduce_128(hi[i], lo[i], mods[i]) for i in range(k)
+        ],
+        "dot_mod": [dot_mod(a[i], b[i], mods[i]) for i in range(k)],
+        "mul_operand": [mul_mod(a[i], w[i], mods[i]) for i in range(k)],
+    }
+    return run_all, per_limb
+
+
+def _assert_modmath_identical(seed, k, n, backends):
+    run_all, per_limb = _modmath_case(seed, k, n)
+    results = {name: _under(name, run_all) for name in backends}
+    first = results[backends[0]]
+    for backend in backends[1:]:
+        for name, want in first.items():
+            assert np.array_equal(results[backend][name], want), (backend, name)
+    for name, rows in per_limb.items():
+        assert np.array_equal(first[name], np.stack(rows)), name
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -88,44 +175,7 @@ def _rand_rows(rng, base, shape_tail):
     n=st.sampled_from([1, 7, 64, 300]),
 )
 def test_stacked_modmath_matches_per_limb(seed, k, n):
-    rng = np.random.default_rng(seed)
-    mods = [
-        Modulus(int(p))
-        for p in _distinct_ntt_base(rng, k, 16).values
-    ]
-    stacked = StackedModulus(mods)
-    a = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    b = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    c = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    lazy = np.stack(
-        [rng.integers(0, 2 * m.value, n, dtype=np.uint64) for m in mods]
-    )
-    hi = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
-    lo = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
-
-    cases = [
-        ("add_mod", add_mod(a, b, stacked),
-         [add_mod(a[i], b[i], mods[i]) for i in range(k)]),
-        ("sub_mod", sub_mod(a, b, stacked),
-         [sub_mod(a[i], b[i], mods[i]) for i in range(k)]),
-        ("neg_mod", neg_mod(a, stacked),
-         [neg_mod(a[i], mods[i]) for i in range(k)]),
-        ("mul_mod", mul_mod(a, b, stacked),
-         [mul_mod(a[i], b[i], mods[i]) for i in range(k)]),
-        ("mad_mod", mad_mod(a, b, c, stacked),
-         [mad_mod(a[i], b[i], c[i], mods[i]) for i in range(k)]),
-        ("conditional_sub", conditional_sub(lazy, stacked),
-         [conditional_sub(lazy[i], mods[i]) for i in range(k)]),
-        ("barrett_reduce_64", barrett_reduce_64(lo, stacked),
-         [barrett_reduce_64(lo[i], mods[i]) for i in range(k)]),
-        ("barrett_reduce_128", barrett_reduce_128(hi, lo, stacked),
-         [barrett_reduce_128(hi[i], lo[i], mods[i]) for i in range(k)]),
-    ]
-    for name, packed, per_limb in cases:
-        assert np.array_equal(packed, np.stack(per_limb)), name
-    got = dot_mod(a, b, stacked)
-    want = np.array([dot_mod(a[i], b[i], mods[i]) for i in range(k)])
-    assert np.array_equal(got, want), "dot_mod"
+    _assert_modmath_identical(seed, k, n, ("packed", "serial"))
 
 
 @settings(max_examples=10, deadline=None)
@@ -143,11 +193,12 @@ def test_stacked_modmath_broadcast_shapes(seed, k):
     col = np.array(
         [rng.integers(0, m.value) for m in mods], dtype=np.uint64
     )[:, None]
-    got = mul_mod(a, col, stacked)
-    for comp in range(3):
-        for i in range(k):
-            want = mul_mod(a[comp, i], col[i, 0], mods[i])
-            assert np.array_equal(got[comp, i], want)
+    for backend in ("packed", "serial"):
+        got = _under(backend, lambda: mul_mod(a, col, stacked))
+        for comp in range(3):
+            for i in range(k):
+                want = mul_mod(a[comp, i], col[i, 0], mods[i])
+                assert np.array_equal(got[comp, i], want), backend
 
 
 # -- stacked NTT vs per-row ---------------------------------------------------
@@ -164,21 +215,21 @@ def test_stacked_modmath_broadcast_shapes(seed, k):
 def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    packed = NTTEngine(degree, base)
-    serial = NTTEngine(degree, base, packed=False)
+    engine = NTTEngine(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
 
-    fwd_p = packed.forward(x, lazy=lazy)
-    fwd_s = serial.forward(x, lazy=lazy)
+    fwd_p = _under("packed", lambda: engine.forward(x, lazy=lazy))
+    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
     assert np.array_equal(fwd_p, fwd_s)
     # Inverse consumes the lazy forward output (the hot pipeline shape).
-    inv_p = packed.inverse(fwd_s, lazy=lazy)
-    inv_s = serial.inverse(fwd_s, lazy=lazy)
+    inv_p = _under("packed", lambda: engine.inverse(fwd_s, lazy=lazy))
+    inv_s = _under("serial", lambda: engine.inverse(fwd_s, lazy=lazy))
     assert np.array_equal(inv_p, inv_s)
     assert np.array_equal(
-        packed.dyadic_multiply(fwd_s, fwd_s), serial.dyadic_multiply(fwd_s, fwd_s)
+        _under("packed", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
+        _under("serial", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
     )
 
 
@@ -186,18 +237,20 @@ def test_stacked_ntt_paper_shape_both_laziness_modes():
     """Deterministic N=4096, level-8 pin (the acceptance-criteria shape)."""
     rng = np.random.default_rng(7)
     base = _distinct_ntt_base(rng, 8, 4096)
-    packed = NTTEngine(4096, base)
-    serial = NTTEngine(4096, base, packed=False)
+    engine = NTTEngine(4096, base)
     x = _rand_rows(rng, base, (4096,))
+    f = _under("serial", lambda: engine.forward(x, lazy=True))
     for lazy in (False, True):
         assert np.array_equal(
-            packed.forward(x, lazy=lazy), serial.forward(x, lazy=lazy)
+            _under("packed", lambda: engine.forward(x, lazy=lazy)),
+            _under("serial", lambda: engine.forward(x, lazy=lazy)),
         )
-        f = serial.forward(x, lazy=True)
         assert np.array_equal(
-            packed.inverse(f, lazy=lazy), serial.inverse(f, lazy=lazy)
+            _under("packed", lambda: engine.inverse(f, lazy=lazy)),
+            _under("serial", lambda: engine.inverse(f, lazy=lazy)),
         )
-    assert np.array_equal(packed.inverse(packed.forward(x)), x)
+    with use_backend("packed"):
+        assert np.array_equal(engine.inverse(engine.forward(x)), x)
 
 
 # -- rns converters -----------------------------------------------------------
@@ -217,7 +270,9 @@ def test_base_converter_packed_matches_reference(seed, kin, kout, n):
     obase = RNSBase(base.moduli[kin:])
     conv = BaseConverter(ibase, obase)
     x = _rand_rows(rng, ibase, (n,))
-    assert np.array_equal(conv.convert(x), conv.convert_reference(x))
+    want = conv.convert_reference(x)
+    for backend in ("packed", "serial"):
+        assert np.array_equal(_under(backend, lambda: conv.convert(x)), want)
 
 
 @settings(max_examples=20, deadline=None)
@@ -231,9 +286,11 @@ def test_scaler_packed_matches_reference(seed, k, n):
     base = _distinct_ntt_base(rng, k, 16)
     scaler = LastModulusScaler(base)
     x = _rand_rows(rng, base, (n,))
-    assert np.array_equal(
-        scaler.divide_round(x), scaler.divide_round_reference(x)
-    )
+    want = scaler.divide_round_reference(x)
+    for backend in ("packed", "serial"):
+        assert np.array_equal(
+            _under(backend, lambda: scaler.divide_round(x)), want
+        )
 
 
 # -- evaluator / encryptor / decryptor ---------------------------------------
@@ -241,7 +298,7 @@ def test_scaler_packed_matches_reference(seed, k, n):
 
 @pytest.fixture(scope="module")
 def ab_scheme():
-    """One small deployment with both a packed and a per-limb evaluator."""
+    """One small deployment; its evaluator runs under each backend."""
     params = CkksParameters.default(
         degree=64, levels=3, scale_bits=23, first_bits=30, special_bits=30
     )
@@ -254,8 +311,7 @@ def ab_scheme():
         "secret": keygen.secret_key(),
         "relin": keygen.relin_key(),
         "galois": keygen.galois_keys([1, 3]),
-        "packed": Evaluator(context),
-        "serial": Evaluator(context, packed=False),
+        "evaluator": Evaluator(context),
     }
 
 
@@ -272,51 +328,50 @@ def _random_ct(rng, context, size, level, scale):
 @given(seed=st.integers(0, 2**32 - 1), level=st.integers(1, 4))
 def test_evaluator_dyadic_ops_packed_matches_serial(ab_scheme, seed, level):
     ctx = ab_scheme["context"]
-    ep, es = ab_scheme["packed"], ab_scheme["serial"]
+    ev = ab_scheme["evaluator"]
     rng = np.random.default_rng(seed)
     scale = float(ctx.params.scale)
     a = _random_ct(rng, ctx, 2, level, scale)
     b = _random_ct(rng, ctx, 2, level, scale)
     t3 = _random_ct(rng, ctx, 3, level, scale)
+    a3 = Ciphertext(a.data, scale)
     pt = ab_scheme["encoder"].encode(
         rng.normal(size=4), level=level
     ) if level <= ctx.max_level else None
 
-    pairs = [
-        ("add", ep.add(a, b), es.add(a, b)),
-        ("add3", ep.add(t3, Ciphertext(a.data, scale)),
-         es.add(t3, Ciphertext(a.data, scale))),
-        ("sub", ep.sub(a, b), es.sub(a, b)),
-        ("sub3a", ep.sub(t3, Ciphertext(a.data, scale)),
-         es.sub(t3, Ciphertext(a.data, scale))),
-        ("sub3b", ep.sub(Ciphertext(a.data, scale), t3),
-         es.sub(Ciphertext(a.data, scale), t3)),
-        ("negate", ep.negate(a), es.negate(a)),
-        ("multiply", ep.multiply(a, b), es.multiply(a, b)),
-        ("square", ep.square(a), es.square(a)),
-        ("add_scalar", ep.add_scalar(a, 2.25), es.add_scalar(a, 2.25)),
-        ("multiply_scalar", ep.multiply_scalar(a, -1.5),
-         es.multiply_scalar(a, -1.5)),
-    ]
-    if pt is not None:
-        pairs.append(("add_plain", ep.add_plain(a, pt), es.add_plain(a, pt)))
-        pairs.append(
-            ("multiply_plain", ep.multiply_plain(a, pt), es.multiply_plain(a, pt))
-        )
-    if level >= 2:
-        rs = Ciphertext(a.data, scale * scale)
-        pairs.append(("rescale", ep.rescale(rs), es.rescale(rs)))
-        pairs.append(
-            ("mod_switch", ep.mod_switch_to_next(a), es.mod_switch_to_next(a))
-        )
-    for name, x, y in pairs:
+    def run_all():
+        out = {
+            "add": ev.add(a, b),
+            "add3": ev.add(t3, a3),
+            "sub": ev.sub(a, b),
+            "sub3a": ev.sub(t3, a3),
+            "sub3b": ev.sub(a3, t3),
+            "negate": ev.negate(a),
+            "multiply": ev.multiply(a, b),
+            "square": ev.square(a),
+            "add_scalar": ev.add_scalar(a, 2.25),
+            "multiply_scalar": ev.multiply_scalar(a, -1.5),
+        }
+        if pt is not None:
+            out["add_plain"] = ev.add_plain(a, pt)
+            out["multiply_plain"] = ev.multiply_plain(a, pt)
+        if level >= 2:
+            out["rescale"] = ev.rescale(Ciphertext(a.data, scale * scale))
+            out["mod_switch"] = ev.mod_switch_to_next(a)
+        return out
+
+    got_p = _under("packed", run_all)
+    got_s = _under("serial", run_all)
+    assert got_p.keys() == got_s.keys()
+    for name, x in got_p.items():
+        y = got_s[name]
         assert np.array_equal(x.data, y.data), name
         assert x.scale == y.scale, name
 
 
 def test_evaluator_keyed_ops_packed_matches_serial(ab_scheme):
     ctx = ab_scheme["context"]
-    ep, es = ab_scheme["packed"], ab_scheme["serial"]
+    ev = ab_scheme["evaluator"]
     rng = np.random.default_rng(5)
     scale = float(ctx.params.scale)
     level = ctx.max_level
@@ -324,13 +379,13 @@ def test_evaluator_keyed_ops_packed_matches_serial(ab_scheme):
     t3 = _random_ct(rng, ctx, 3, level, scale)
     rlk, gk = ab_scheme["relin"], ab_scheme["galois"]
 
-    rp, rs = ep.relinearize(t3, rlk), es.relinearize(t3, rlk)
-    assert np.array_equal(rp.data, rs.data)
-    rotp, rots = ep.rotate(a, 1, gk), es.rotate(a, 1, gk)
-    assert np.array_equal(rotp.data, rots.data)
-    hp = ep.rotate_hoisted(a, [1, 3], gk)
-    hs = es.rotate_hoisted(a, [1, 3], gk)
-    for x, y in zip(hp, hs):
+    def run_all():
+        return [
+            ev.relinearize(t3, rlk), ev.rotate(a, 1, gk),
+            *ev.rotate_hoisted(a, [1, 3], gk),
+        ]
+
+    for x, y in zip(_under("packed", run_all), _under("serial", run_all)):
         assert np.array_equal(x.data, y.data)
 
 
@@ -341,17 +396,16 @@ def test_encryptor_decryptor_packed_matches_serial(ab_scheme):
     rng = np.random.default_rng(11)
     z = rng.normal(size=enc.slots)
     pt = enc.encode(z)
-    e_packed = Encryptor(ctx, pk, seed=42)
-    e_serial = Encryptor(ctx, pk, seed=42, packed=False)
-    ct_p = e_packed.encrypt(pt)
-    ct_s = e_serial.encrypt(pt)
-    # Same seed, same sampling order: the packed encryptor is bit-identical.
+    ct_p = _under("packed", lambda: Encryptor(ctx, pk, seed=42).encrypt(pt))
+    ct_s = _under("serial", lambda: Encryptor(ctx, pk, seed=42).encrypt(pt))
+    # Same seed, same sampling order: bit-identical under every backend.
     assert np.array_equal(ct_p.data, ct_s.data)
-    d_packed = Decryptor(ctx, sk)
-    d_serial = Decryptor(ctx, sk, packed=False)
-    assert np.array_equal(d_packed.decrypt(ct_p).data, d_serial.decrypt(ct_p).data)
-    # And the full packed roundtrip still decodes the message.
-    vals = enc.decode(d_packed.decrypt(ct_p))
+    dec = Decryptor(ctx, sk)
+    pt_p = _under("packed", lambda: dec.decrypt(ct_p))
+    pt_s = _under("serial", lambda: dec.decrypt(ct_p))
+    assert np.array_equal(pt_p.data, pt_s.data)
+    # And the full roundtrip still decodes the message.
+    vals = enc.decode(pt_p)
     assert np.allclose(vals.real, z, atol=1e-2)
 
 
@@ -362,14 +416,18 @@ def test_paper_shape_evaluator_pin():
     )
     ctx = CkksContext(params)
     assert ctx.max_level == 8
-    ep, es = Evaluator(ctx), Evaluator(ctx, packed=False)
+    ev = Evaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
     b = _random_ct(rng, ctx, 2, 8, scale)
-    assert np.array_equal(ep.multiply(a, b).data, es.multiply(a, b).data)
     rs = Ciphertext(a.data, scale * scale)
-    assert np.array_equal(ep.rescale(rs).data, es.rescale(rs).data)
+
+    def run():
+        return ev.multiply(a, b).data, ev.rescale(rs).data
+
+    for x, y in zip(_under("packed", run), _under("serial", run)):
+        assert np.array_equal(x, y)
 
 
 # -- three-way native / packed / serial ---------------------------------------
@@ -383,75 +441,8 @@ def test_paper_shape_evaluator_pin():
     n=st.sampled_from([1, 7, 64, 300]),
 )
 def test_native_modmath_three_way(seed, k, n):
-    """Native == packed == per-limb for every stacked modular kernel."""
-    from repro.modmath import packedops
-
-    rng = np.random.default_rng(seed)
-    mods = [
-        Modulus(int(p))
-        for p in _distinct_ntt_base(rng, k, 16).values
-    ]
-    stacked = StackedModulus(mods)
-    a = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    b = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    c = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    lazy = np.stack(
-        [rng.integers(0, 2 * m.value, n, dtype=np.uint64) for m in mods]
-    )
-    hi = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
-    lo = rng.integers(0, 1 << 64, (k, n), dtype=np.uint64)
-    w = np.stack([rng.integers(1, m.value, 1, dtype=np.uint64) for m in mods])
-    wq = [(int(w[i, 0]) << 64) // mods[i].value for i in range(k)]
-    wq_hi = np.array([q >> 32 for q in wq], dtype=np.uint64)[:, None]
-    wq_lo = np.array([q & 0xFFFFFFFF for q in wq], dtype=np.uint64)[:, None]
-    m_in = np.stack([rng.integers(0, m.value, n, dtype=np.uint64) for m in mods])
-    r_lazy = np.stack(
-        [rng.integers(0, 4 * m.value, n, dtype=np.uint64) for m in mods]
-    )
-
-    def run_all():
-        return {
-            "add_mod": add_mod(a, b, stacked),
-            "sub_mod": sub_mod(a, b, stacked),
-            "neg_mod": neg_mod(a, stacked),
-            "mul_mod": mul_mod(a, b, stacked),
-            "mad_mod": mad_mod(a, b, c, stacked),
-            "conditional_sub": conditional_sub(lazy, stacked),
-            "barrett_reduce_64": barrett_reduce_64(lo, stacked),
-            "barrett_reduce_128": barrett_reduce_128(hi, lo, stacked),
-            "dyadic_product": packedops.dyadic_product_stacked(
-                a, b, c, lazy, stacked
-            ),
-            "dyadic_square": packedops.dyadic_square_stacked(a, b, stacked),
-            "mul_mod_operand": packedops.mul_mod_operand_stacked(
-                a, w, wq_hi, wq_lo, stacked
-            ),
-            "lazy_diff_mul_operand": packedops.lazy_diff_mul_operand_stacked(
-                m_in, r_lazy, w, wq_hi, wq_lo, stacked
-            ),
-        }
-
-    with use_backend("native"):
-        got_native = run_all()
-    with use_backend("packed"):
-        got_packed = run_all()
-
-    serial = {
-        "add_mod": [add_mod(a[i], b[i], mods[i]) for i in range(k)],
-        "sub_mod": [sub_mod(a[i], b[i], mods[i]) for i in range(k)],
-        "neg_mod": [neg_mod(a[i], mods[i]) for i in range(k)],
-        "mul_mod": [mul_mod(a[i], b[i], mods[i]) for i in range(k)],
-        "mad_mod": [mad_mod(a[i], b[i], c[i], mods[i]) for i in range(k)],
-        "conditional_sub": [conditional_sub(lazy[i], mods[i]) for i in range(k)],
-        "barrett_reduce_64": [barrett_reduce_64(lo[i], mods[i]) for i in range(k)],
-        "barrett_reduce_128": [
-            barrett_reduce_128(hi[i], lo[i], mods[i]) for i in range(k)
-        ],
-    }
-    for name in got_native:
-        assert np.array_equal(got_native[name], got_packed[name]), name
-    for name, rows in serial.items():
-        assert np.array_equal(got_native[name], np.stack(rows)), name
+    """Native == packed == serial == per-limb for every table entry."""
+    _assert_modmath_identical(seed, k, n, ("native", "packed", "serial"))
 
 
 @needs_native
@@ -467,20 +458,19 @@ def test_native_ntt_three_way(seed, k, degree, lazy, lead):
     """Native stacked NTT == packed stacked NTT == per-row serial NTT."""
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    stacked = NTTEngine(degree, base, packed=True)
-    serial = NTTEngine(degree, base, packed=False)
+    engine = NTTEngine(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
 
-    fwd_s = serial.forward(x, lazy=lazy)
+    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
     with use_backend("native"):
-        fwd_n = stacked.forward(x, lazy=lazy)
-        inv_n = stacked.inverse(fwd_s, lazy=lazy)
+        fwd_n = engine.forward(x, lazy=lazy)
+        inv_n = engine.inverse(fwd_s, lazy=lazy)
     with use_backend("packed"):
-        fwd_p = stacked.forward(x, lazy=lazy)
-        inv_p = stacked.inverse(fwd_s, lazy=lazy)
-    inv_s = serial.inverse(fwd_s, lazy=lazy)
+        fwd_p = engine.forward(x, lazy=lazy)
+        inv_p = engine.inverse(fwd_s, lazy=lazy)
+    inv_s = _under("serial", lambda: engine.inverse(fwd_s, lazy=lazy))
     assert np.array_equal(fwd_n, fwd_p)
     assert np.array_equal(fwd_n, fwd_s)
     assert np.array_equal(inv_n, inv_p)
@@ -521,8 +511,7 @@ def test_native_evaluator_paper_shape_three_way():
     ctx = CkksContext(params)
     keygen = KeyGenerator(ctx, seed=123)
     rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
-    ev_serial = Evaluator(ctx, packed=False)
+    ev = Evaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
@@ -530,18 +519,16 @@ def test_native_evaluator_paper_shape_three_way():
     t3 = _random_ct(rng, ctx, 3, 8, scale)
     rs = Ciphertext(a.data, scale * scale)
 
-    def run(e):
+    def run():
         return (
-            e.multiply(a, b).data,
-            e.rescale(rs).data,
-            e.relinearize(t3, rlk).data,
+            ev.multiply(a, b).data,
+            ev.rescale(rs).data,
+            ev.relinearize(t3, rlk).data,
         )
 
-    with use_backend("native"):
-        got_native = run(ev)
-    with use_backend("packed"):
-        got_packed = run(ev)
-    got_serial = run(ev_serial)
+    got_native = _under("native", run)
+    got_packed = _under("packed", run)
+    got_serial = _under("serial", run)
     for x, y, z in zip(got_native, got_packed, got_serial):
         assert np.array_equal(x, y)
         assert np.array_equal(x, z)
@@ -564,24 +551,25 @@ def test_native_ntt_threaded_bit_identical(seed, k, degree, lazy):
     """
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    stacked = NTTEngine(degree, base, packed=True)
-    serial = NTTEngine(degree, base, packed=False)
+    engine = NTTEngine(degree, base)
     x = np.empty((2, k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[:, i, :] = rng.integers(0, m.value, (2, degree), dtype=np.uint64)
 
-    fwd_s = serial.forward(x, lazy=lazy)
+    with use_backend("serial"):
+        fwd_s = engine.forward(x, lazy=lazy)
+        inv_s = engine.inverse(fwd_s, lazy=lazy)
     with use_backend("native"):
         with use_threads(1):
-            fwd_1 = stacked.forward(x, lazy=lazy)
-            inv_1 = stacked.inverse(fwd_s, lazy=lazy)
+            fwd_1 = engine.forward(x, lazy=lazy)
+            inv_1 = engine.inverse(fwd_s, lazy=lazy)
         with use_threads(4):
-            fwd_4 = stacked.forward(x, lazy=lazy)
-            inv_4 = stacked.inverse(fwd_s, lazy=lazy)
+            fwd_4 = engine.forward(x, lazy=lazy)
+            inv_4 = engine.inverse(fwd_s, lazy=lazy)
     assert np.array_equal(fwd_1, fwd_4)
     assert np.array_equal(fwd_1, fwd_s)
     assert np.array_equal(inv_1, inv_4)
-    assert np.array_equal(inv_1, serial.inverse(fwd_s, lazy=lazy))
+    assert np.array_equal(inv_1, inv_s)
 
 
 @needs_native
@@ -593,7 +581,7 @@ def test_native_evaluator_threaded_bit_identical():
     ctx = CkksContext(params)
     keygen = KeyGenerator(ctx, seed=123)
     rlk = keygen.relin_key()
-    ev = Evaluator(ctx, packed=True)
+    ev = Evaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
     a = _random_ct(rng, ctx, 2, 8, scale)
@@ -601,20 +589,19 @@ def test_native_evaluator_threaded_bit_identical():
     t3 = _random_ct(rng, ctx, 3, 8, scale)
     rs = Ciphertext(a.data, scale * scale)
 
-    def run(e):
+    def run():
         return (
-            e.multiply(a, b).data,
-            e.rescale(rs).data,
-            e.relinearize(t3, rlk).data,
+            ev.multiply(a, b).data,
+            ev.rescale(rs).data,
+            ev.relinearize(t3, rlk).data,
         )
 
     with use_backend("native"):
         with use_threads(1):
-            got_1 = run(ev)
+            got_1 = run()
         with use_threads(4):
-            got_4 = run(ev)
-    with use_backend("packed"):
-        got_packed = run(ev)
+            got_4 = run()
+    got_packed = _under("packed", run)
     for x, y, z in zip(got_1, got_4, got_packed):
         assert np.array_equal(x, y)
         assert np.array_equal(x, z)
@@ -641,19 +628,3 @@ def test_native_thread_knobs():
     native.set_threads(7)
     native.set_threads(None)
     assert native.get_threads() == baseline
-
-
-@needs_native
-def test_native_backend_follows_default_evaluator():
-    """Evaluator(packed=None) follows set_backend: serial flips per-limb."""
-    params = CkksParameters.default(
-        degree=64, levels=2, scale_bits=23, first_bits=30, special_bits=30
-    )
-    ctx = CkksContext(params)
-    ev = Evaluator(ctx)
-    with use_backend("serial"):
-        assert ev.packed is False
-    with use_backend("native"):
-        assert ev.packed is True
-    with use_backend("packed"):
-        assert ev.packed is True
