@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
@@ -174,29 +173,20 @@ class ScratchRegistry:
         series return ``None`` and drop out of exports instead of
         pinning the pool alive.
         """
-        reg = registry or obs_metrics.get_registry()
-        ref = weakref.ref(self)
-
-        def field(name: str):
-            def read() -> Optional[float]:
-                inst = ref()
-                return None if inst is None else float(inst.info()[name])
-
-            return read
-
         labels = {"pool": self.name}
-        reg.gauge("repro_scratch_bytes",
-                  "Bytes cached across all threads of a scratch pool.",
-                  labels=labels, fn=field("bytes"))
-        reg.gauge("repro_scratch_buffers",
-                  "Cached buffers across all threads of a scratch pool.",
-                  labels=labels, fn=field("buffers"))
-        reg.gauge("repro_scratch_threads",
-                  "Threads holding live entries in a scratch pool.",
-                  labels=labels, fn=field("threads"))
-        reg.gauge("repro_scratch_max_bytes",
-                  "Byte cap of a scratch pool.",
-                  labels=labels, fn=field("max_bytes"))
+        (registry or obs_metrics.get_registry()).register_views(self, [
+            ("repro_scratch_bytes",
+             "Bytes cached across all threads of a scratch pool.",
+             lambda s: s.info()["bytes"], labels),
+            ("repro_scratch_buffers",
+             "Cached buffers across all threads of a scratch pool.",
+             lambda s: s.info()["buffers"], labels),
+            ("repro_scratch_threads",
+             "Threads holding live entries in a scratch pool.",
+             lambda s: s.info()["threads"], labels),
+            ("repro_scratch_max_bytes", "Byte cap of a scratch pool.",
+             lambda s: s.info()["max_bytes"], labels),
+        ])
 
     def clear(self) -> None:
         """Drop every cached buffer in every thread's pool."""

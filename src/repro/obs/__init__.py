@@ -14,9 +14,9 @@ instrument itself without import cycles:
 * :mod:`repro.obs.metrics` — a process-global :class:`MetricsRegistry`
   of typed counters/gauges/histograms (fixed, deterministic buckets)
   with Prometheus text-format and JSON snapshot exporters.  The server,
-  the admission gate, the worker pool, the scratch registries and the
-  NTT table caches all publish here; ``HEServer.metrics_snapshot()``
-  and ``python -m repro metrics`` surface it.
+  admission gate, worker pool, socket front end, scratch registries and
+  NTT table caches all register pull views of their live state here;
+  ``HEServer.metrics_snapshot()`` and ``python -m repro metrics`` render it.
 * :mod:`repro.obs.report` — a figure registry rendering the
   ``BENCH_wallclock.json`` history into one self-contained HTML page
   (``python -m repro report``) plus the perf regression gate

@@ -2,12 +2,17 @@
 
 A :class:`MetricsRegistry` holds named instruments — :class:`Counter`,
 :class:`Gauge`, :class:`Histogram` — keyed by ``(name, labels)``.
-Registration is idempotent: asking for an existing series returns it, so
-modules can (re-)register freely and a snapshot call can sync state into
+Registration is idempotent: asking for an existing series returns it
+(and refreshes its callback), so modules can (re-)register freely into
 any registry without duplicate-series errors.  Series may be *pull*
-style (a ``fn`` callback sampled at export time; a callback returning
-``None`` drops the series from that export, which is how weakref'd
-sources age out) or *push* style (``inc``/``set``/``observe``).
+style (a ``fn`` callback sampled at export time; one returning ``None``
+drops the series from that export, which is how weakref'd sources age
+out, and one returning a mapping exports a row per key — see
+:meth:`MetricsRegistry.register_views`) or *push* style
+(``inc``/``set``/``observe``).  Pull is the rule for state that has an
+owner: the registry is a view, never a second copy.  ``set_total``
+remains only for ``faults.register_metrics``, whose label set is not
+known up front.
 
 Histograms use **fixed, caller-supplied bucket bounds** so exports are
 deterministic across runs and hosts — no adaptive resizing.  A bound is
@@ -28,8 +33,10 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -94,6 +101,10 @@ class _Instrument:
         with self._lock:
             return self._value
 
+    def samples(self) -> List[Tuple[LabelItems, float]]:
+        got = self.fn() if self.fn is not None else self._value
+        return [(labels, float(v)) for labels, v in _expand(self.labels, got)]
+
 
 class Counter(_Instrument):
     """Monotonically increasing count (or a pull callback)."""
@@ -133,14 +144,20 @@ class Gauge(_Instrument):
 
 
 class Histogram:
-    """Fixed-bucket histogram with inclusive (``le``) upper bounds."""
+    """Fixed-bucket histogram with inclusive (``le``) upper bounds.
+
+    Pull style: with ``fn``, an export buckets the observations ``fn()``
+    returns instead of the pushed ones (see :func:`_expand`).
+    """
 
     kind = "histogram"
 
-    __slots__ = ("name", "help", "labels", "buckets", "_counts", "_sum", "_count", "_lock")
+    __slots__ = ("name", "help", "labels", "buckets", "fn",
+                 "_counts", "_sum", "_count", "_lock")
 
     def __init__(self, name: str, help: str, labels: LabelItems,
-                 buckets: Sequence[float]) -> None:
+                 buckets: Sequence[float],
+                 fn: Optional[Callable[[], Optional[Sequence[float]]]] = None) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -150,6 +167,7 @@ class Histogram:
         self.help = help
         self.labels = labels
         self.buckets = bounds
+        self.fn = fn
         self._counts = [0] * (len(bounds) + 1)  # final slot = +Inf overflow
         self._sum = 0.0
         self._count = 0
@@ -169,6 +187,17 @@ class Histogram:
             self._sum = 0.0
             self._count = 0
 
+    def samples(self) -> List[Tuple[LabelItems, Dict[str, Any]]]:
+        if self.fn is None:
+            return [(self.labels, self.snapshot())]
+        out = []
+        for labels, values in _expand(self.labels, self.fn()):
+            fresh = Histogram(self.name, self.help, labels, self.buckets)
+            for v in values:
+                fresh.observe(v)
+            out.append((labels, fresh.snapshot()))
+        return out
+
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             counts = list(self._counts)
@@ -179,6 +208,15 @@ class Histogram:
             running += c
             cumulative.append([bound, running])
         return {"buckets": cumulative, "count": total, "sum": s}
+
+
+def _expand(labels: LabelItems, got: Any) -> List[Tuple[LabelItems, Any]]:
+    """Export rows of one pull result: none for ``None`` (the source is
+    gone), one per key of a ``{label items: value}`` mapping (a label set
+    that grows after registration), else one."""
+    if isinstance(got, dict):
+        return [(labels + extra, v) for extra, v in sorted(got.items())]
+    return [] if got is None else [(labels, got)]
 
 
 def _label_items(labels: Optional[Dict[str, str]]) -> LabelItems:
@@ -225,7 +263,7 @@ class MetricsRegistry:
             inst = self._instruments.get(key)
             if inst is None:
                 if cls is Histogram:
-                    inst = Histogram(name, help, items, kwargs["buckets"])
+                    inst = Histogram(name, help, items, kwargs["buckets"], fn=fn)
                 else:
                     inst = cls(name, help, items, fn=fn)
                 self._instruments[key] = inst
@@ -247,8 +285,38 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   labels: Optional[Dict[str, str]] = None,
-                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US) -> Histogram:
-        return self._get(Histogram, name, help, labels, buckets=buckets)
+                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US,
+                  fn: Optional[Callable[[], Optional[Sequence[float]]]] = None) -> Histogram:
+        return self._get(Histogram, name, help, labels, fn=fn, buckets=buckets)
+
+    def register_views(self, owner: Any, series, kind: str = "") -> None:
+        """Register ``(name, help, read[, labels])`` rows as pull series.
+
+        Each series samples ``read(owner)`` (``read`` may be a dotted
+        attribute path) through a weak reference and drops out of
+        exports once ``owner`` is collected instead of pinning it alive.
+        ``labels`` is a dict, or the *name* of one label when ``read``
+        returns a ``{label value: number}`` mapping — one export row per
+        key present at render time.  Unless ``kind`` says otherwise, a
+        name ending in ``_total`` is a counter and any other a gauge —
+        the Prometheus naming rule.
+        """
+        ref = weakref.ref(owner)
+
+        def pull(read, by):
+            read = attrgetter(read) if isinstance(read, str) else read
+
+            def fn():
+                got = None if (obj := ref()) is None else read(obj)
+                if by and got is not None:
+                    return {((by, str(k)),): v for k, v in list(got.items())}
+                return got
+            return fn
+
+        for name, help, read, *labels in series:
+            by = labels.pop() if labels and isinstance(labels[0], str) else ""
+            inferred = "counter" if name.endswith("_total") else "gauge"
+            getattr(self, kind or inferred)(name, help, *labels, fn=pull(read, by))
 
     def instruments(self) -> List[Any]:
         with self._lock:
@@ -261,8 +329,8 @@ class MetricsRegistry:
 
     # -- exporters ------------------------------------------------------
 
-    def _grouped(self) -> List[Tuple[str, str, str, List[Any]]]:
-        """[(name, kind, help, [instruments…])] sorted by name, labels."""
+    def _grouped(self) -> List[Tuple[str, str, str, List[Tuple[LabelItems, Any]]]]:
+        """[(name, kind, help, [(labels, sample)…])] sorted by name, labels."""
         with self._lock:
             items = sorted(self._instruments.items(), key=lambda kv: kv[0])
             kinds = dict(self._kinds)
@@ -273,53 +341,36 @@ class MetricsRegistry:
         for name in sorted(groups):
             insts = groups[name]
             help_text = next((i.help for i in insts if i.help), "")
-            out.append((name, kinds[name], help_text, insts))
+            rows = [row for inst in insts for row in inst.samples()]
+            out.append((name, kinds[name], help_text, rows))
         return out
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
-        for name, kind, help_text, insts in self._grouped():
+        for name, kind, help_text, rows in self._grouped():
             if help_text:
                 lines.append(f"# HELP {name} {help_text}")
             lines.append(f"# TYPE {name} {kind}")
-            for inst in insts:
+            for labels, v in rows:
                 if kind == "histogram":
-                    snap = inst.snapshot()
-                    for bound, cum in snap["buckets"]:
-                        lines.append(
-                            f"{name}_bucket{_label_str(inst.labels, [('le', _fmt(bound))])} {cum}"
-                        )
-                    lines.append(
-                        f"{name}_bucket{_label_str(inst.labels, [('le', '+Inf')])} {snap['count']}"
-                    )
-                    lines.append(f"{name}_sum{_label_str(inst.labels)} {_fmt(snap['sum'])}")
-                    lines.append(f"{name}_count{_label_str(inst.labels)} {snap['count']}")
+                    for bound, cum in v["buckets"]:
+                        le = [("le", _fmt(bound))]
+                        lines.append(f"{name}_bucket{_label_str(labels, le)} {cum}")
+                    lines.append(f"{name}_bucket{_label_str(labels, [('le', '+Inf')])} {v['count']}")
+                    lines.append(f"{name}_sum{_label_str(labels)} {_fmt(v['sum'])}")
+                    lines.append(f"{name}_count{_label_str(labels)} {v['count']}")
                 else:
-                    v = inst.value()
-                    if v is None:
-                        continue
-                    lines.append(f"{name}{_label_str(inst.labels)} {_fmt(v)}")
+                    lines.append(f"{name}{_label_str(labels)} {_fmt(v)}")
         return "\n".join(lines) + "\n"
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe snapshot: {name: {type, help, series: [...]}}."""
-        out: Dict[str, Any] = {}
-        for name, kind, help_text, insts in self._grouped():
-            series = []
-            for inst in insts:
-                labels = dict(inst.labels)
-                if kind == "histogram":
-                    entry: Dict[str, Any] = {"labels": labels}
-                    entry.update(inst.snapshot())
-                    series.append(entry)
-                else:
-                    v = inst.value()
-                    if v is None:
-                        continue
-                    series.append({"labels": labels, "value": v})
-            out[name] = {"type": kind, "help": help_text, "series": series}
-        return out
+        return {
+            name: {"type": kind, "help": help_text, "series": [
+                {"labels": dict(labels), **(v if kind == "histogram" else {"value": v})}
+                for labels, v in rows]}
+            for name, kind, help_text, rows in self._grouped()}
 
 
 _REGISTRY = MetricsRegistry()

@@ -80,7 +80,6 @@ from .request import (
     ServeRequest,
     ServeResponse,
     decode_request,
-    encode_response,
     expired_response,
     overloaded_response,
 )
@@ -404,12 +403,6 @@ class ServerSession:
                     acc = ev.add(acc, ev.rotate(acc, step, gk))
                 return acc
         return profs, thunk
-
-    def execute(self, req: ServeRequest,
-                profiler: GpuOpProfiler) -> Tuple[Ciphertext, List[KernelProfile]]:
-        """Compute the true result and the kernel chain for one request."""
-        profs, thunk = self.execute_plan(req, profiler)
-        return thunk(), profs
 
 
 class BatchDispatcher:
@@ -817,7 +810,7 @@ class HEServer:
         self.priority_eviction = (priority_eviction
                                   if priority_eviction is not None
                                   else tenant_fairness is not None)
-        self.metrics = ServerMetrics()
+        self.metrics = ServerMetrics(self.dispatcher)
         #: Timer ticks served through :meth:`pump_once`.
         self.pump_ticks = 0
         # None follows the process-global default registry at snapshot
@@ -825,6 +818,8 @@ class HEServer:
         self._registry = registry
         self._free_at_us: Dict[str, float] = {}
         self._clock_us = 0.0
+        #: Running max of ``complete_us`` over every recorded response.
+        self._latest_complete_us = 0.0
         self._responses: Dict[str, ServeResponse] = {}
         self._seen_ids: set = set()
         self._request_log: List[ServeRequest] = []
@@ -948,7 +943,7 @@ class HEServer:
         resp = overloaded_response(req.request_id,
                                    arrival_us=req.arrival_us,
                                    priority=req.priority, error=reason)
-        self._responses[req.request_id] = resp
+        self._note_response(resp)
         self._fresh_terminal.append(resp)
         self.metrics.observe_shed(req.priority, req.client_id)
         self.sessions.note_shed(req.client_id)
@@ -975,7 +970,7 @@ class HEServer:
         return [r for r in self._request_log
                 if r.request_id not in self._evicted_ids]
 
-    def stream(self, *, wire: bool = False) -> Iterator[object]:
+    def stream(self) -> Iterator[ServeResponse]:
         """Serve everything pending, yielding responses as tiles finish.
 
         The streaming alternative to the :meth:`drain` barrier: batches
@@ -983,9 +978,8 @@ class HEServer:
         its own completion instant (``yielded_at_us == complete_us``),
         merged across devices and batches in simulated-time order.
         Responses of a later-dispatched batch never hold back completed
-        ones from earlier batches.  ``wire=True`` yields encoded
-        response frames.  Abandoning the iterator early re-queues the
-        not-yet-dispatched batches' requests (a later ``stream()`` or
+        ones from earlier batches.  Abandoning the iterator early re-queues
+        the not-yet-dispatched batches' requests (a later ``stream()`` or
         :meth:`drain` serves them), so the exactly-one-terminal-response
         invariant survives a consumer that walks away mid-stream.
         """
@@ -1002,8 +996,7 @@ class HEServer:
         try:
             for batch in batches:
                 while heap and heap[0][0] <= batch.dispatch_us:
-                    _, _, resp = heapq.heappop(heap)
-                    yield encode_response(resp) if wire else resp
+                    yield heapq.heappop(heap)[2]
                 # One batch's dispatch + bookkeeping is atomic w.r.t.
                 # concurrent submit()/stream() callers; yields happen
                 # outside the lock so a slow consumer never blocks them.
@@ -1013,36 +1006,26 @@ class HEServer:
                         heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
                         seq += 1
             while heap:
-                _, _, resp = heapq.heappop(heap)
-                yield encode_response(resp) if wire else resp
+                yield heapq.heappop(heap)[2]
         finally:
             with self._mu:
                 for batch in undispatched:
                     for req in batch.requests:
                         self.batcher.add(req)
-                self._clock_us = max(
-                    [self._clock_us]
-                    + [r.complete_us for r in self._responses.values()]
-                )
-                self.metrics.requeued_total = self.dispatcher.requeued
-                self._sync_cache_metrics()
+                self._clock_us = max(self._clock_us, self._latest_complete_us)
 
-    def drain(self, *, wire: bool = False) -> Dict[str, object]:
+    def drain(self) -> Dict[str, ServeResponse]:
         """Serve everything pending; returns responses by request id.
 
         Barrier semantics: responses are computed exactly as in
         :meth:`stream` but released together once the last one
         completes (``yielded_at_us`` = the barrier instant).
-        ``wire=True`` returns encoded response frames (the client/server
-        channel); otherwise :class:`ServeResponse` objects.
         """
         responses = list(self.stream())
         barrier_us = self._clock_us
-        out: Dict[str, object] = {}
         for resp in responses:
             resp.yielded_at_us = barrier_us
-            out[resp.request_id] = (encode_response(resp) if wire else resp)
-        return out
+        return {resp.request_id: resp for resp in responses}
 
     def _dispatch_recorded(self, batch: Batch) -> List[ServeResponse]:
         """Dispatch one closed batch, record every response (holds ``_mu``)."""
@@ -1073,8 +1056,8 @@ class HEServer:
             out.append(resp)
         return out
 
-    def pump_once(self, *, now_us: Optional[float] = None,
-                  wire: bool = False) -> List[object]:
+    def pump_once(self, *,
+                  now_us: Optional[float] = None) -> List[ServeResponse]:
         """One timer tick: close due batches, dispatch, collect responses.
 
         The pump-driven alternative to :meth:`stream`/:meth:`drain` —
@@ -1087,7 +1070,7 @@ class HEServer:
         terminal through this tick in yield order: dispatched batches,
         expired-on-arrival sheds, and any immediately-terminal responses
         produced since the last tick (admission/tenant sheds, eviction
-        victims).  ``wire=True`` returns encoded response frames.
+        victims).
         """
         with self._mu:
             if now_us is not None:
@@ -1099,14 +1082,9 @@ class HEServer:
                 responses.extend(self._dispatch_recorded(batch))
             fresh, self._fresh_terminal = self._fresh_terminal, []
             responses.extend(fresh)
-            self._clock_us = max(
-                [self._clock_us] + [r.complete_us for r in responses])
-            self.metrics.requeued_total = self.dispatcher.requeued
-            self._sync_cache_metrics()
+            self._clock_us = max(self._clock_us, self._latest_complete_us)
             self.pump_ticks += 1
         responses.sort(key=lambda r: (r.yielded_at_us, r.request_id))
-        if wire:
-            return [encode_response(r) for r in responses]
         return responses
 
     def take_fresh_terminal(self) -> List[ServeResponse]:
@@ -1126,9 +1104,14 @@ class HEServer:
         except KeyError:
             raise KeyError(f"no response for {request_id!r} (drained?)") from None
 
+    def _note_response(self, resp: ServeResponse) -> None:
+        """Store one terminal response (holds ``_mu``)."""
+        self._responses[resp.request_id] = resp
+        self._latest_complete_us = max(self._latest_complete_us, resp.complete_us)
+
     def _record(self, resp: ServeResponse, op: str,
                 open_us: Optional[float] = None) -> None:
-        self._responses[resp.request_id] = resp
+        self._note_response(resp)
         self.metrics.observe(RequestRecord(
             request_id=resp.request_id,
             op=op,
@@ -1164,19 +1147,6 @@ class HEServer:
         tracer.add_sim_span("dispatch", dispatch, complete, request_id=rid,
                             parent=root, device=resp.device)
 
-    def _sync_cache_metrics(self) -> None:
-        art, mc = self.session.artifacts, self.session.memcache.stats
-        self.metrics.artifact_hits = art.hits
-        self.metrics.artifact_misses = art.misses
-        self.metrics.memcache_hits = mc.hits
-        self.metrics.memcache_requests = mc.requests
-        self.metrics.raw_launches = self.dispatcher.raw_launches
-        self.metrics.fused_launches = self.dispatcher.submitted_launches
-        if self.workers is not None:
-            self.metrics.worker_stats = [
-                s.as_dict() for s in self.workers.stats
-            ]
-
     @property
     def registry(self) -> obs_metrics.MetricsRegistry:
         """The metrics registry snapshots publish into.
@@ -1186,70 +1156,44 @@ class HEServer:
         """
         return self._registry or obs_metrics.get_registry()
 
-    def metrics_snapshot(self, fmt: str = "json"):
-        """Export the full serving telemetry through the metrics registry.
+    def register_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
+        """Register this server's live state into ``registry`` as pull
+        views (idempotent): nothing is copied, so one registration stays
+        current for the server's lifetime."""
+        self.metrics.register_metrics(registry)
+        series = [
+            ("repro_batcher_depth", "Requests queued in the batcher right now.", "batcher.depth"),
+            ("repro_pump_ticks_total", "Timer ticks served through pump_once.", "pump_ticks"),
+            ("repro_worker_pool_width", "Evaluation pool width (0 = inline).",
+             lambda s: s.workers.width if s.workers is not None and not s.workers.closed else 0),
+        ]
+        if self.admission is not None:
+            series += [
+                ("repro_admission_tokens", "Token-bucket fill of the admission gate.",
+                 "admission.tokens"),
+                ("repro_admission_backlog", "Modelled backlog the admission gate tracks.",
+                 "admission.backlog"),
+            ]
+        registry.register_views(self, series)
+        if self.workers is not None:
+            self.workers.register_metrics(registry)
 
-        Syncs the current :class:`ServerMetrics` aggregates, admission
-        gate state, batcher depth and worker-pool health into
-        :attr:`registry` (set-style, idempotent), re-registers the
-        process-wide cache/native series, and returns the registry's
+    def metrics_snapshot(self, fmt: str = "json"):
+        """Render the full serving telemetry through the metrics registry.
+
+        Registers this server and the process-wide cache/native series
+        into :attr:`registry` (idempotent) and returns the registry's
         Prometheus text exposition (``fmt="prometheus"``) or JSON-safe
-        snapshot dict (``fmt="json"``).
+        snapshot dict (``fmt="json"``), rendered under the coordination
+        lock so the numbers are mutually consistent.
         """
         with self._mu:
-            self._sync_cache_metrics()
-            reg = self.registry
-            self.metrics.export_into(reg)
-            g = reg.gauge
-            if self.admission is not None:
-                g("repro_admission_tokens",
-                  "Token-bucket fill of the admission gate.").set(
-                    self.admission.tokens)
-                g("repro_admission_backlog",
-                  "Modelled backlog the admission gate tracks.").set(
-                    self.admission.backlog)
-            g("repro_batcher_depth",
-              "Requests queued in the batcher right now.").set(
-                self.batcher.depth)
-            reg.counter("repro_pump_ticks_total",
-                        "Timer ticks served through pump_once.").set_total(
-                self.pump_ticks)
-            g("repro_worker_pool_width",
-              "Evaluation pool width (0 = inline).").set(
-                self.workers.width if self.workers is not None
-                and not self.workers.closed else 0)
-            if self.workers is not None:
-                for s in self.workers.stats:
-                    labels = {"worker": s.name}
-                    reg.counter("repro_worker_tasks_total",
-                                "Tasks executed per pool worker.",
-                                labels=labels).set_total(s.tasks)
-                    reg.counter("repro_worker_failures_total",
-                                "Task exceptions per pool worker.",
-                                labels=labels).set_total(s.failures)
-                    reg.counter("repro_worker_restarts_total",
-                                "Respawns after a worker thread died.",
-                                labels=labels).set_total(s.restarts)
-                    reg.counter("repro_worker_hung_total",
-                                "Tasks the watchdog abandoned as hung.",
-                                labels=labels).set_total(s.hung)
-                    reg.counter("repro_worker_crashes_total",
-                                "Injected worker crashes.",
-                                labels=labels).set_total(s.crashes)
-                    reg.counter("repro_worker_leaked_total",
-                                "Threads leaked (failed to join) at close.",
-                                labels=labels).set_total(s.leaked)
-                    g("repro_worker_busy_seconds",
-                      "Cumulative busy wall time per pool worker.",
-                      labels=labels).set(s.busy_s)
-                    g("repro_worker_rate_per_s",
-                      "Tasks per busy second per pool worker.",
-                      labels=labels).set(s.rate)
-            register_process_metrics(reg)
-        if fmt == "prometheus":
-            return reg.render_prometheus()
-        if fmt in ("json", "dict"):
-            return reg.snapshot()
+            reg = register_process_metrics(self.registry)
+            self.register_metrics(reg)
+            if fmt == "prometheus":
+                return reg.render_prometheus()
+            if fmt in ("json", "dict"):
+                return reg.snapshot()
         raise ValueError(f"unknown snapshot format {fmt!r}")
 
     # -- baseline -----------------------------------------------------------------

@@ -8,14 +8,20 @@ shapes, admission shed/accept counters and artifact / device-memory
 cache counters.  Latency percentiles split by priority class so a
 deadline-sensitive client's p99 is visible separately from batch
 traffic.
+
+:class:`ServerMetrics` stores only what it alone observes; numbers other
+objects own are read-through views of the dispatcher it is built over,
+and a metrics registry reads all of it live (:meth:`register_metrics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
 from ..obs.metrics import MetricsRegistry, percentile as _percentile
+from .request import RESPONSE_STATUSES
 
 __all__ = ["RequestRecord", "ServerMetrics"]
 
@@ -43,53 +49,70 @@ class RequestRecord:
         return self.dispatch_us - self.arrival_us
 
 
+def _view(path: str) -> property:
+    """Read-only view of ``self.dispatcher.<path>`` (live, never stored)."""
+    return property(attrgetter("dispatcher." + path))
+
+
 @dataclass
 class ServerMetrics:
     """Aggregated counters the server exposes after (or during) a drain."""
 
+    #: The :class:`~.dispatcher.BatchDispatcher` the views below read.
+    dispatcher: Any = field(repr=False)
     records: List[RequestRecord] = field(default_factory=list)
     batch_sizes: List[int] = field(default_factory=list)
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    memcache_hits: int = 0
-    memcache_requests: int = 0
-    #: Launch accounting from the dispatcher: ``raw_launches`` is what the
-    #: per-request kernel chains would submit one-by-one; ``fused_launches``
-    #: is what actually hit the queues after kernel fusion + cross-request
-    #: batching.  Equal when fusion is disabled.
-    raw_launches: int = 0
-    fused_launches: int = 0
+    #: Terminal responses by typed status, counted at the event
+    #: (``overloaded`` sheds never enter ``records``).
+    terminal_counts: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(sorted(RESPONSE_STATUSES), 0))
     #: Admission accounting: requests shed with a typed ``overloaded``
     #: response before queueing, split by priority class.  ``admitted``
     #: counts requests the gate let through (== every queued request
     #: when admission is on; 0 when it is off).
-    shed_total: int = 0
     admitted_total: int = 0
     shed_by_priority: Dict[int, int] = field(default_factory=dict)
     #: Shed requests split by tenant (client id; "" = anonymous) —
     #: covers global-gate sheds, per-tenant bucket sheds and
     #: priority-eviction victims alike.
     shed_by_tenant: Dict[str, int] = field(default_factory=dict)
-    #: Requests re-dispatched onto a surviving device after a device
-    #: failure mid-stream.
-    requeued_total: int = 0
     #: Duplicate submissions absorbed by the request-id dedup cache
     #: (idempotent client retries) — each got no second execution and
     #: no second terminal status.
     deduped_total: int = 0
-    #: Per-worker health/rate snapshots from the evaluation pool (empty
-    #: when the server runs inline): dicts with ``name``, ``tasks``,
-    #: ``failures``, ``busy_s``, ``rate_per_s``, ``restarts``.
-    worker_stats: List[Dict] = field(default_factory=list)
+
+    artifact_hits = _view("session.artifacts.hits")
+    artifact_misses = _view("session.artifacts.misses")
+    memcache_hits = _view("session.memcache.stats.hits")
+    memcache_requests = _view("session.memcache.stats.requests")
+    #: Launch accounting: ``raw_launches`` is what the per-request kernel
+    #: chains would submit one-by-one; ``fused_launches`` is what actually
+    #: hit the queues after kernel fusion + cross-request batching.
+    #: Equal when fusion is disabled.
+    raw_launches = _view("raw_launches")
+    fused_launches = _view("submitted_launches")
+    #: Requests re-dispatched onto a surviving device after a device
+    #: failure mid-stream.
+    requeued_total = _view("requeued")
+    shed_total = property(lambda self: self.terminal_counts["overloaded"])
+
+    @property
+    def worker_stats(self) -> List[Dict]:
+        """Per-worker health/rate dicts from the evaluation pool (empty
+        when the server runs inline): ``name``, ``tasks``, ``failures``,
+        ``busy_s``, ``rate_per_s``, ``restarts``."""
+        pool = self.dispatcher.workers
+        return [s.as_dict() for s in pool.stats] if pool is not None else []
 
     def observe(self, record: RequestRecord) -> None:
         self.records.append(record)
+        self.terminal_counts[record.status] += 1
 
     def observe_batch(self, size: int) -> None:
         self.batch_sizes.append(size)
 
     def observe_shed(self, priority: int = 0, client_id: str = "") -> None:
-        self.shed_total += 1
+        self.terminal_counts["overloaded"] += 1
         self.shed_by_priority[priority] = (
             self.shed_by_priority.get(priority, 0) + 1
         )
@@ -152,10 +175,7 @@ class ServerMetrics:
         return sorted({r.priority for r in self.records})
 
     def status_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.records:
-            out[r.status] = out.get(r.status, 0) + 1
-        return out
+        return {s: n for s, n in self.terminal_counts.items() if n}
 
     @property
     def shed_rate(self) -> float:
@@ -215,67 +235,15 @@ class ServerMetrics:
             return 0.0
         return 1.0 - self.fused_launches / self.raw_launches
 
-    # -- registry export -------------------------------------------------------
+    # -- registry view ---------------------------------------------------------
 
-    def export_into(self, registry: MetricsRegistry) -> None:
-        """Publish the aggregate serving series into a metrics registry.
-
-        Set-style sync (idempotent): values are recomputed from the
-        stored records on every call, so repeated snapshots never double
-        count.  The per-priority latency histogram is rebuilt from the
-        ``ok`` records with the registry's fixed deterministic buckets.
-        """
-        c, g = registry.counter, registry.gauge
-        for status in ("ok", "failed", "expired", "device_failed", "overloaded"):
-            c("repro_server_requests_total",
-              "Terminal responses by typed status.",
-              labels={"status": status}).set_total(self.status_counts().get(status, 0))
-        c("repro_server_batches_total", "Batches dispatched.").set_total(len(self.batch_sizes))
-        g("repro_server_mean_batch_size", "Mean formed batch size.").set(self.mean_batch_size)
-        g("repro_server_throughput_rps",
-          "Served requests per simulated second.").set(self.throughput_rps)
-        g("repro_server_span_us",
-          "First arrival to last completion (simulated us).").set(self.span_us)
-        g("repro_server_max_inflight",
-          "Peak arrived-but-not-completed requests.").set(self.max_inflight())
-        c("repro_artifact_cache_hits_total",
-          "Server-side artifact (key/plan) cache hits.").set_total(self.artifact_hits)
-        c("repro_artifact_cache_misses_total",
-          "Server-side artifact (key/plan) cache misses.").set_total(self.artifact_misses)
-        c("repro_memcache_hits_total",
-          "Device memory cache hits.").set_total(self.memcache_hits)
-        c("repro_memcache_requests_total",
-          "Device memory cache lookups.").set_total(self.memcache_requests)
-        c("repro_launches_total", "Kernel launches before/after fusion.",
-          labels={"kind": "raw"}).set_total(self.raw_launches)
-        c("repro_launches_total", labels={"kind": "fused"}).set_total(self.fused_launches)
-        c("repro_admission_admitted_total",
-          "Requests the admission gate let through.").set_total(self.admitted_total)
-        c("repro_admission_shed_total",
-          "Requests shed with a typed overloaded response.").set_total(self.shed_total)
-        for prio, n in sorted(self.shed_by_priority.items()):
-            c("repro_admission_shed_by_priority_total",
-              "Shed requests split by priority class.",
-              labels={"priority": str(prio)}).set_total(n)
-        for tenant, n in sorted(self.shed_by_tenant.items()):
-            c("repro_tenant_shed_total",
-              "Shed requests split by tenant (client id).",
-              labels={"client": tenant or "anonymous"}).set_total(n)
-        c("repro_requeued_total",
-          "Requests re-dispatched after device failure.").set_total(self.requeued_total)
-        c("repro_server_deduped_total",
-          "Duplicate request-id submissions absorbed (idempotent "
-          "retries).").set_total(self.deduped_total)
-        prios = self.priorities() or [0]
-        for prio in prios:
-            h = registry.histogram(
-                "repro_server_latency_us",
-                "End-to-end simulated latency of served (ok) requests.",
-                labels={"priority": str(prio)})
-            h.reset()
-            for r in self.records:
-                if r.status == "ok" and r.priority == prio:
-                    h.observe(r.latency_us)
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Register the serving series into ``registry`` as pull views
+        of this object's live state (idempotent).  Per-status, -priority
+        and -tenant label sets are resolved at render time, so one
+        registration also reports labels first seen after it."""
+        registry.register_views(self, _SERIES)
+        registry.register_views(self, [_LATENCY], kind="histogram")
 
     # -- reporting -------------------------------------------------------------
 
@@ -349,3 +317,41 @@ class ServerMetrics:
         for name, n in sorted(self.per_device_counts().items()):
             lines.append(f"  {name:<19}: {n} requests")
         return "\n".join(lines)
+
+
+#: The serving series: (name, help, ``ServerMetrics`` reader[, labels | label name]) rows for
+#: :meth:`MetricsRegistry.register_views`.
+_SERIES = (
+    ("repro_server_requests_total", "Terminal responses by typed status.", "terminal_counts",
+     "status"),
+    ("repro_server_batches_total", "Batches dispatched.", lambda m: len(m.batch_sizes)),
+    ("repro_server_mean_batch_size", "Mean formed batch size.", "mean_batch_size"),
+    ("repro_server_throughput_rps", "Served requests per simulated second.", "throughput_rps"),
+    ("repro_server_span_us", "First arrival to last completion (simulated us).", "span_us"),
+    ("repro_server_max_inflight", "Peak arrived-but-not-completed requests.",
+     lambda m: m.max_inflight()),
+    ("repro_artifact_cache_hits_total", "Server-side artifact (key/plan) cache hits.",
+     "artifact_hits"),
+    ("repro_artifact_cache_misses_total", "Server-side artifact (key/plan) cache misses.",
+     "artifact_misses"),
+    ("repro_memcache_hits_total", "Device memory cache hits.", "memcache_hits"),
+    ("repro_memcache_requests_total", "Device memory cache lookups.", "memcache_requests"),
+    ("repro_launches_total", "Kernel launches before/after fusion.", "raw_launches",
+     {"kind": "raw"}),
+    ("repro_launches_total", "", "fused_launches", {"kind": "fused"}),
+    ("repro_admission_admitted_total", "Requests the admission gate let through.",
+     "admitted_total"),
+    ("repro_admission_shed_total", "Requests shed with a typed overloaded response.",
+     "shed_total"),
+    ("repro_admission_shed_by_priority_total", "Shed requests split by priority class.",
+     "shed_by_priority", "priority"),
+    ("repro_tenant_shed_total", "Shed requests split by tenant (client id).",
+     lambda m: {t or "anonymous": n for t, n in list(m.shed_by_tenant.items())}, "client"),
+    ("repro_requeued_total", "Requests re-dispatched after device failure.", "requeued_total"),
+    ("repro_server_deduped_total",
+     "Duplicate request-id submissions absorbed (idempotent retries).", "deduped_total"),
+)
+_LATENCY = (
+    "repro_server_latency_us", "End-to-end simulated latency of served (ok) requests.",
+    lambda m: {p: m._latencies(priority=p, status="ok") for p in m.priorities() or [0]},
+    "priority")

@@ -32,6 +32,10 @@ to the client), ``drop_connection`` closes the socket mid-stream (the
 client reconnects and resumes).  A faulted frame never hangs a client
 and never kills the server loop.
 
+Telemetry: the ``repro_net_*`` / ``repro_pump_*`` series are pull views
+of this server's live counters, registered once in ``start()`` — the
+pump thread never writes to a metrics registry.
+
 Scale-out posture: all per-client state is keyed on ``client_id``
 (session affinity), so a consistent-hash router can sit in front of
 multiple replicas — there is no process-global hidden state beyond the
@@ -177,6 +181,7 @@ class SocketServer:
         self._server = await asyncio.start_server(
             self._serve_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.register_metrics(self.registry)
         self.pump.start()
         return self
 
@@ -324,8 +329,6 @@ class SocketServer:
 
         Normally the resume hello flushes; this per-tick sweep closes
         the race where a response parks concurrently with the resume.
-        It also republishes the connection/pump gauges so the registry
-        tracks the live server without a scrape hook.
         """
         with self._lock:
             live = {cid: conn for cid, conn in self._links.items()
@@ -334,7 +337,6 @@ class SocketServer:
             for frame in self.he.sessions.take_parked(cid):
                 conn.send_threadsafe(frame)
                 self._bump("frames_out")
-        self.export_metrics()
 
     # -- telemetry -----------------------------------------------------------------
 
@@ -346,37 +348,37 @@ class SocketServer:
         with self._lock:
             return dict(self._stats)
 
-    def export_metrics(self) -> None:
-        """Publish connection/pump gauges into the metrics registry."""
-        reg = self.registry
-        stats = self.stats()
-        g, c = reg.gauge, reg.counter
-        g("repro_net_connections",
-          "Live TCP client connections.").set(stats["connections"])
-        g("repro_net_peak_connections",
-          "Peak concurrent TCP client connections.").set(
-            stats["peak_connections"])
-        c("repro_net_frames_total", "Socket messages by direction.",
-          labels={"direction": "in"}).set_total(stats["frames_in"])
-        c("repro_net_frames_total",
-          labels={"direction": "out"}).set_total(stats["frames_out"])
-        c("repro_net_frame_errors_total",
-          "Inbound messages that failed to parse (typed error "
-          "returned).").set_total(stats["frame_errors"])
-        c("repro_net_dropped_connections_total",
-          "Connections closed by the injected drop_connection "
-          "fault.").set_total(stats["dropped_connections"])
-        c("repro_net_parked_responses_total",
-          "Responses parked for disconnected session "
-          "clients.").set_total(stats["parked"])
-        c("repro_net_undeliverable_total",
-          "Responses to anonymous clients that disconnected (kept "
-          "in-process only).").set_total(stats["undeliverable"])
-        c("repro_pump_responses_total",
-          "Responses routed by the batch pump.").set_total(
-            self.pump.responses)
-        g("repro_pump_period_ms",
-          "Configured pump cadence.").set(self.pump.pump_ms)
+    def register_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
+        """Register the connection/pump series, and the served
+        :class:`HEServer`, as pull views (idempotent)."""
+        self.he.register_metrics(registry)
+        registry.register_views(self, _NET_SERIES)
+
+
+def _stat(key: str):
+    return lambda net: net.stats()[key]
+
+
+#: (name, help, ``SocketServer`` reader[, labels]) rows.
+_NET_SERIES = (
+    ("repro_net_connections", "Live TCP client connections.", _stat("connections")),
+    ("repro_net_peak_connections", "Peak concurrent TCP client connections.",
+     _stat("peak_connections")),
+    ("repro_net_frames_total", "Socket messages by direction.", _stat("frames_in"),
+     {"direction": "in"}),
+    ("repro_net_frames_total", "", _stat("frames_out"), {"direction": "out"}),
+    ("repro_net_frame_errors_total",
+     "Inbound messages that failed to parse (typed error returned).", _stat("frame_errors")),
+    ("repro_net_dropped_connections_total",
+     "Connections closed by the injected drop_connection fault.", _stat("dropped_connections")),
+    ("repro_net_parked_responses_total", "Responses parked for disconnected session clients.",
+     _stat("parked")),
+    ("repro_net_undeliverable_total",
+     "Responses to anonymous clients that disconnected (kept in-process only).",
+     _stat("undeliverable")),
+    ("repro_pump_responses_total", "Responses routed by the batch pump.", "pump.responses"),
+    ("repro_pump_period_ms", "Configured pump cadence.", "pump.pump_ms"),
+)
 
 
 class _LoopThread:

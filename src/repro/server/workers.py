@@ -1,11 +1,11 @@
 """A bounded thread pool for concurrent batch evaluation.
 
 The dispatcher's per-device loop interleaves two very different kinds of
-work: *real* ciphertext math (``ServerSession.execute`` — NumPy/native
-kernels that release the GIL) and *simulated-time* bookkeeping (memory
-cache, schedulers, the epoch clock).  Only the first parallelizes; the
-second must stay sequential or the simulated clock stops being
-deterministic.  :class:`WorkerPool` carries exactly the first kind:
+work: *real* ciphertext math (``ServerSession.execute_plan`` thunks —
+NumPy/native kernels that release the GIL) and *simulated-time*
+bookkeeping (memory cache, schedulers, the epoch clock).  Only the first
+parallelizes; the second must stay sequential or the simulated clock
+stops being deterministic.  :class:`WorkerPool` carries the first kind:
 :meth:`map_ordered` fans a list of independent evaluations across N
 long-lived worker threads and returns results in submission order, so
 the caller's bookkeeping — and therefore every response, timestamp and
@@ -52,6 +52,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .. import faults as _faults
 from ..obs import tracing
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["WorkerStats", "WorkerPool"]
 
@@ -140,6 +141,18 @@ class _Future:
 
 
 _STOP = object()
+
+#: Per-worker series: (name, help, ``WorkerStats`` attribute).
+_WORKER_SERIES = (
+    ("repro_worker_tasks_total", "Tasks executed per pool worker.", "tasks"),
+    ("repro_worker_failures_total", "Task exceptions per pool worker.", "failures"),
+    ("repro_worker_restarts_total", "Respawns after a worker thread died.", "restarts"),
+    ("repro_worker_hung_total", "Tasks the watchdog abandoned as hung.", "hung"),
+    ("repro_worker_crashes_total", "Injected worker crashes.", "crashes"),
+    ("repro_worker_leaked_total", "Threads leaked (failed to join) at close.", "leaked"),
+    ("repro_worker_busy_seconds", "Cumulative busy wall time per pool worker.", "busy_s"),
+    ("repro_worker_rate_per_s", "Tasks per busy second per pool worker.", "rate"),
+)
 
 
 class WorkerPool:
@@ -245,6 +258,14 @@ class WorkerPool:
     @property
     def leaked(self) -> int:
         return sum(s.leaked for s in self.stats)
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Register the per-worker :class:`WorkerStats` as pull views of
+        this pool (idempotent, weakly referenced)."""
+        registry.register_views(self, [
+            (name, help_text, lambda p, attr=attr: {s.name: getattr(s, attr) for s in p.stats},
+             "worker")
+            for name, help_text, attr in _WORKER_SERIES])
 
     def ensure_alive(self) -> None:
         """Respawn dead workers (restart counted) so submits never hang."""

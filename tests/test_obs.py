@@ -116,6 +116,29 @@ def test_pull_series_none_omitted():
     assert snap["here"]["series"] == [{"labels": {}, "value": 5.0}]
 
 
+def test_register_views_resolves_label_values_at_render_time():
+    """A mapping-valued view exports one row per key present *now*."""
+    class Owner:
+        by_prio = {}
+        lat = {0: [5.0]}
+
+    owner = Owner()
+    reg = MetricsRegistry()
+    reg.register_views(owner, [("shed_total", "Sheds.", "by_prio", "priority")])
+    reg.register_views(owner, [("lat_us", "", "lat", "priority")], kind="histogram")
+    assert "shed_total{" not in reg.render_prometheus()
+    owner.by_prio[2] = 3
+    owner.lat[1] = [7.0, 9.0]
+    text = reg.render_prometheus()
+    assert 'shed_total{priority="2"} 3' in text
+    assert 'lat_us_count{priority="0"} 1' in text
+    assert 'lat_us_count{priority="1"} 2' in text
+    assert reg.snapshot()["shed_total"]["series"] == [
+        {"labels": {"priority": "2"}, "value": 3.0}]
+    del owner
+    assert reg.snapshot()["shed_total"]["series"] == []
+
+
 def test_zero_record_snapshot_renders():
     """A registry with instruments but no observations must export cleanly."""
     reg = MetricsRegistry()

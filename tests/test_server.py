@@ -218,6 +218,11 @@ class TestServerDispatch:
         assert server.submit(ServeRequest("dup", "square", [any_ct])) == rid
         assert server.metrics.deduped_total == 2
         assert server.drain() == {}
+        # The clock sits at the latest completion, so a request
+        # submitted "now" is stamped there.
+        late = ServeRequest("late", "square", [any_ct])
+        server.submit(late)
+        assert late.arrival_us == responses["dup"].complete_us > 0
 
     def test_duplicate_submits_across_stream(self, server_pair, any_ct):
         """Duplicates interleaved with stream() still yield exactly one
@@ -447,7 +452,7 @@ class TestServeOps:
                    - float(a[:4] @ w)) < 1e-2
 
     def test_wire_mode_drain(self, ckks, rng):
-        """drain(wire=True) ships decodable response frames."""
+        """Drained responses encode to decodable response frames."""
         server = HEServer(
             ServerClient.params_wire(ckks["params"]),
             devices=[(DEVICE1, 2)],
@@ -458,7 +463,8 @@ class TestServeOps:
         v = rng.normal(size=enc.slots)
         ct = ckks["encryptor"].encrypt(enc.encode(v))
         rid = server.submit(encode_request(ServeRequest("wire-1", "square", [ct])))
-        frames = server.drain(wire=True)
+        frames = {rid: encode_response(resp)
+                  for rid, resp in server.drain().items()}
         resp = decode_response(frames[rid])
         got = enc.decode(ckks["decryptor"].decrypt(resp.result)).real
         assert np.abs(got - v * v).max() < 1e-3

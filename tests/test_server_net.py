@@ -19,6 +19,7 @@ import pytest
 from repro import faults
 from repro.faults import FaultPlan, FaultRule
 from repro.server import (
+    AdmissionPolicy,
     BatchPolicy,
     HEServer,
     NetClient,
@@ -131,23 +132,44 @@ class TestSocketSoak:
                     r.result.data, ref_responses[r.request_id].result.data)
 
     def test_latency_stats_exposed(self, ckks):
-        """The socket layer exports its counters as metric series."""
+        """The socket layer exports its counters as metric series, and
+        one registration in ``start()`` also reports label values first
+        seen afterwards (a priority class, a shed tenant)."""
         from repro.obs.metrics import MetricsRegistry
 
         frames, _ = _frames(ckks, 1, 2)
+        ct = ckks["encryptor"].encrypt(
+            ckks["encoder"].encode(np.ones(ckks["encoder"].slots)))
+        # The bucket admits three requests and refills one token per
+        # 1000 s: the fourth submit is shed.
+        frames[0] += [(rid, encode_request(
+            ServeRequest(rid, "add", [ct, ct], priority=1)))
+            for rid in ("prio1", "shed")]
         registry = MetricsRegistry()
-        bg = serve_in_background(_server(ckks), pump_ms=2.0,
-                                 registry=registry)
+        server = _server(ckks, admission=AdmissionPolicy(rate_rps=1e-3,
+                                                         burst=3))
+        bg = serve_in_background(server, pump_ms=2.0, registry=registry)
         try:
+            # Live from start(): the series exist before any traffic.
+            idle = registry.render_prometheus()
             with NetClient(bg.host, bg.port) as cli:
                 for _rid, frame in frames[0]:
                     cli.submit_frame(frame)
-                cli.collect(2, timeout_s=30.0)
+                cli.collect(4, timeout_s=30.0)
             text = registry.render_prometheus()
         finally:
             bg.stop()
-        assert "repro_net_frames_total" in text
-        assert "repro_pump_responses_total" in text
+        assert 'repro_net_frames_total{direction="in"} 0' in idle
+        assert 'repro_net_frames_total{direction="in"} 4' in text
+        # The shed is answered on arrival, not by a pump tick.
+        assert "repro_pump_responses_total 3" in text
+        assert 'repro_server_requests_total{status="ok"} 3' in text
+        assert 'repro_server_requests_total{status="overloaded"} 1' in text
+        assert 'priority="1"' not in idle and "repro_tenant_shed_total{" not in idle
+        assert 'repro_admission_shed_by_priority_total{priority="1"} 1' in text
+        assert 'repro_tenant_shed_total{client="anonymous"} 1' in text
+        assert 'repro_server_latency_us_count{priority="0"} 2' in text
+        assert 'repro_server_latency_us_count{priority="1"} 1' in text
 
 
 class TestDisconnectResume:

@@ -10,6 +10,7 @@ worker-pool, scratch-registry, NTT-cache and native-backend series
 through one Prometheus exposition.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -18,25 +19,39 @@ import pytest
 from repro import native
 from repro.native import set_backend
 from repro.obs import tracing
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.server import (
+    RESPONSE_STATUSES,
     AdmissionPolicy,
+    HEServer,
+    ServeRequest,
     demo_deployment,
+    encode_request,
     mixed_square_multiply_traffic,
     serve_traffic,
 )
+from repro.xesim import DEVICE1
 
 HAVE_NATIVE = native.available()
 
 REQUESTS = 6
 
 
-def _serve(**overrides):
-    """One small pooled+gated run of the canonical mixed traffic."""
+def _serve(extra_ops=(), **overrides):
+    """One small pooled+gated run of the canonical mixed traffic.
+
+    ``extra_ops`` appends one single-ciphertext request per op after the
+    canonical frames (``rotate`` is executor-rejected: no Galois keys).
+    """
     params, encoder, encryptor, _decryptor, relin_wire = demo_deployment(
         degree=64, seed=11)
     frames = mixed_square_multiply_traffic(
         encoder, encryptor, requests=REQUESTS, rng=np.random.default_rng(11))
+    for i, op in enumerate(extra_ops):
+        ct = encryptor.encrypt(encoder.encode(np.ones(encoder.slots)))
+        req = ServeRequest(f"x{i}", op, [ct], meta={"steps": 1})
+        frames.append((req.request_id, encode_request(req),
+                       frames[-1][2] + 1.0, None))
     kwargs = dict(
         relin_wire=relin_wire,
         admission=AdmissionPolicy(rate_rps=1e6, burst=2 * REQUESTS,
@@ -162,7 +177,13 @@ def test_chrome_export_is_valid_and_split_by_clock(traced_run):
 
 def test_prometheus_snapshot_covers_every_subsystem():
     with use_registry():
-        server, _frames = _serve()
+        # The canonical traffic plus one executor-rejected request and
+        # one the gate sheds: the bucket holds REQUESTS + 1 tokens and
+        # refills ~1e-4 tokens over the whole run.
+        server, _frames = _serve(
+            extra_ops=("rotate", "square"),
+            admission=AdmissionPolicy(rate_rps=1.0, burst=REQUESTS + 1,
+                                      max_backlog=4 * REQUESTS))
         text = server.metrics_snapshot("prometheus")
     for series in (
         # serving aggregates
@@ -191,7 +212,13 @@ def test_prometheus_snapshot_covers_every_subsystem():
         assert series in text, series
     served = REQUESTS
     assert f'repro_server_requests_total{{status="ok"}} {served}' in text
-    assert f"repro_admission_admitted_total {served}" in text
+    assert 'repro_server_requests_total{status="error"} 1' in text
+    assert 'repro_server_requests_total{status="overloaded"} 1' in text
+    assert "repro_admission_shed_total 1" in text
+    assert f"repro_admission_admitted_total {served + 1}" in text
+    statuses = {line.split('"')[1] for line in text.splitlines()
+                if line.startswith("repro_server_requests_total{")}
+    assert statuses == RESPONSE_STATUSES
     # The pool really ran tasks before close; stats survive the close.
     tasks = sum(s.tasks for s in server.workers.stats)
     assert tasks > 0
@@ -210,6 +237,77 @@ def test_json_snapshot_roundtrips_and_rejects_unknown_format():
     assert "repro_admission_tokens" not in snap
     assert "repro_worker_tasks_total" not in snap
     json.dumps(snap)  # JSON-safe end to end
+
+
+def _samples(text):
+    """{series: value} of a Prometheus exposition's sample lines."""
+    return {line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines() if not line.startswith("#")}
+
+
+def test_registry_is_a_live_view_of_the_server():
+    """Registered once, the registry tracks the server without another
+    snapshot call, and stops reporting it once it is collected."""
+    params, encoder, encryptor, _decryptor, relin_wire = demo_deployment(
+        degree=64, seed=11)
+    frames = mixed_square_multiply_traffic(
+        encoder, encryptor, requests=4, rng=np.random.default_rng(11))
+    registry = MetricsRegistry()
+    server = HEServer(params, devices=[(DEVICE1, 2)], registry=registry)
+    server.install_relin_key(relin_wire)
+    for _rid, wire, arrival_us, _expected in frames[:2]:
+        server.submit(wire, arrival_us=arrival_us)
+    server.drain()
+    server.metrics_snapshot("prometheus")
+    before = _samples(registry.render_prometheus())
+    for _rid, wire, arrival_us, _expected in frames[2:]:
+        server.submit(wire, arrival_us=arrival_us)
+    server.drain()
+    after = _samples(registry.render_prometheus())
+    assert after['repro_server_requests_total{status="ok"}'] == 4
+    for series in ('repro_server_requests_total{status="ok"}',
+                   'repro_launches_total{kind="raw"}',
+                   "repro_artifact_cache_hits_total"):
+        assert after[series] > before[series] > 0, series
+
+    del server
+    gc.collect()
+    owned = ("repro_server_", "repro_launches_", "repro_artifact_",
+             "repro_memcache_", "repro_admission_", "repro_batcher_",
+             "repro_pump_", "repro_worker_", "repro_requeued_")
+    left = _samples(registry.render_prometheus())
+    assert not [name for name in left if name.startswith(owned)]
+    assert any(name.startswith("repro_scratch_") for name in left)
+
+
+def test_serving_metrics_have_no_copy_layer():
+    """Structural: nothing under ``repro/server`` pushes totals into a
+    registry, and the three sync/export layers stay deleted."""
+    import importlib
+    import inspect
+    import pkgutil
+    from pathlib import Path
+
+    import repro.server
+
+    root = Path(repro.server.__file__).parent
+    pushes = [
+        f"{path.name}:{lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "set_total(" in line
+    ]
+    assert not pushes, pushes
+
+    gone = {"export_into", "export_metrics", "_sync_cache_metrics"}
+    offenders = []
+    for info in pkgutil.iter_modules(repro.server.__path__, "repro.server."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            attrs = {name} | (set(dir(obj)) if inspect.isclass(obj) else set())
+            offenders += [f"{info.name}.{name}: {attr}"
+                          for attr in sorted(attrs & gone)]
+    assert not offenders, offenders
 
 
 def test_tracing_disabled_run_records_nothing():

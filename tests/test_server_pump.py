@@ -258,11 +258,11 @@ class TestPumpOnce:
         assert len(responses) == 6
 
     def test_wire_mode_returns_encoded_frames(self, pump_server):
-        from repro.server import decode_response
+        from repro.server import decode_response, encode_response
 
         server, ct = pump_server
         server.submit(ServeRequest("w0", "add", [ct, ct]), arrival_us=0.0)
-        (frame,) = server.pump_once(now_us=500.0, wire=True)
+        (frame,) = map(encode_response, server.pump_once(now_us=500.0))
         assert isinstance(frame, bytes)
         assert decode_response(frame).request_id == "w0"
 
