@@ -21,7 +21,8 @@ Commands
     checks exactly-one-terminal-response accounting instead of speedup.
     ``--listen HOST:PORT`` skips the synthetic run and serves the
     length-prefixed wire protocol over TCP in the foreground, batches
-    closed by a ``--pump-ms`` timer (never a drain); ``--tenant-rate``
+    closed the moment their cut is reached (never a drain; ``--pump-ms``
+    is the idle heartbeat); ``--tenant-rate``
     /``--tenant-burst`` arm per-client token buckets with
     priority-eviction shedding on top of ``--admission``.
 ``fuse``
@@ -129,7 +130,7 @@ def _serve_listen(args: argparse.Namespace, server) -> int:
     async def _amain() -> None:
         await sock.start()
         print(f"serving on {sock.host}:{sock.port} "
-              f"(pump every {args.pump_ms:g} ms, "
+              f"(pump at batch cuts, idle heartbeat {args.pump_ms:g} ms, "
               f"max_batch {args.max_batch}, window {args.window_us:g} us); "
               f"Ctrl-C to stop", flush=True)
         try:
@@ -714,8 +715,8 @@ def main(argv: list | None = None) -> int:
                             "foreground instead of running synthetic "
                             "traffic (port 0 = ephemeral)")
     p_srv.add_argument("--pump-ms", type=float, default=5.0,
-                       help="batch pump cadence in ms for --listen "
-                            "(default 5; batches close by timer, never "
+                       help="batch pump idle heartbeat in ms for --listen "
+                            "(default 5; batches close at their cut, never "
                             "a drain)")
     p_srv.add_argument("--tenant-rate", type=float, default=0.0,
                        help="per-tenant token refill rate in req/s "

@@ -41,13 +41,15 @@ batch — a drain never stamps a batch later than its own
 ``open + window``, no matter how far the server-lifetime clock has
 advanced (empty-then-burst regression).  Batching stays deterministic
 given arrivals, priorities, deadlines and weights, so tests can assert
-exact window semantics.
+exact window semantics.  :meth:`RequestBatcher.next_cut_us` predicts the
+next close from the same cut computation, so an online pump can sleep
+exactly until a tick has work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from .request import ServeRequest
 
@@ -131,6 +133,21 @@ def _fair_select(eligible: List[ServeRequest], k: int,
     return sorted(take, key=_selection_key)[:k]
 
 
+class _Window(NamedTuple):
+    """The window the earliest pending arrival opens."""
+
+    open_us: float
+    #: Expired-on-arrival requests, shed before this window can close.
+    stale: List[ServeRequest]
+    #: ``open + window``, or the earlier deadline cut.
+    cut: float
+    closed_by: str  # "window" | "deadline": the close reason at ``cut``
+    #: Arrivals at or before ``cut``: the requests that may join.
+    eligible: List[ServeRequest]
+    #: The ``max_batch``-th eligible arrival (size close); None if unfilled.
+    fill_us: Optional[float]
+
+
 class RequestBatcher:
     """Accumulates stamped requests; forms deterministic batches."""
 
@@ -180,6 +197,61 @@ class RequestBatcher:
         self.pending.remove(victim)
         return victim
 
+    def _by_arrival(self) -> List[ServeRequest]:
+        return sorted(self.pending, key=lambda r: (r.arrival_us, r.request_id))
+
+    def _first_window(self, remaining: List[ServeRequest]) -> _Window:
+        """The window ``remaining[0]`` opens (``remaining`` sorted by arrival).
+
+        The one place a cut is computed: :meth:`form_batches` closes
+        windows with it and :meth:`next_cut_us` predicts the next close
+        from it, so a pump woken at the prediction always finds work.
+        """
+        open_us = remaining[0].arrival_us
+        # Expired-on-arrival shedding: a request whose deadline is
+        # already at/before its own arrival (or the open of the batch it
+        # would join) can never be served in time, and its stale
+        # deadline would pull the cut down to ``open_us`` and degenerate
+        # unrelated traffic into single-request batches.  It is shed
+        # before it can influence the deadline cut.
+        stale = [
+            r for r in remaining if r.deadline_us is not None
+            and (r.deadline_us <= r.arrival_us or r.deadline_us <= open_us)
+        ]
+        window_close = open_us + self.policy.window_us
+        # Deadline-aware cut: the earliest absolute deadline among the
+        # requests that would join this window pulls the close time
+        # forward so no member is dispatched past its budget.
+        joiner_deadlines = [
+            r.deadline_us for r in remaining
+            if r.arrival_us <= window_close and r.deadline_us is not None
+        ]
+        cut = max(open_us, min([window_close] + joiner_deadlines))
+        eligible = [r for r in remaining if r.arrival_us <= cut]
+        k = self.policy.max_batch
+        return _Window(open_us, stale, cut,
+                       "deadline" if cut < window_close else "window",
+                       eligible,
+                       eligible[k - 1].arrival_us if len(eligible) >= k else None)
+
+    def next_cut_us(self) -> Optional[float]:
+        """The earliest ``now_us`` at which :meth:`form_batches` closes
+        something; None with nothing pending.
+
+        That is the first window's cut, or its fill instant once
+        ``max_batch`` requests are eligible.  An expired-on-arrival
+        shed is due at once, so it returns the shed request's arrival.
+        A filled batch or a shed therefore reads as already past on a
+        live clock.  Later windows open only after the first one
+        closes, so they never come first.
+        """
+        if not self.pending:
+            return None
+        w = self._first_window(self._by_arrival())
+        if w.stale:
+            return min(r.arrival_us for r in w.stale)
+        return w.cut if w.fill_us is None else w.fill_us
+
     def form_batches(self, *, drain: bool = False,
                      now_us: Optional[float] = None) -> List[Batch]:
         """Close every batch implied by the pending arrivals.
@@ -199,39 +271,18 @@ class RequestBatcher:
             return []
         pol = self.policy
         weights = self.weights_fn() if self.weights_fn is not None else None
-        remaining = sorted(self.pending,
-                           key=lambda r: (r.arrival_us, r.request_id))
+        remaining = self._by_arrival()
         batches: List[Batch] = []
         shed: List[ServeRequest] = []
         while remaining:
-            open_us = remaining[0].arrival_us
-            # Expired-on-arrival shedding: a request whose deadline is
-            # already at/before its own arrival (or the open of the
-            # batch it would join) can never be served in time, and its
-            # stale deadline would pull the cut down to ``open_us`` and
-            # degenerate unrelated traffic into single-request batches.
-            # Shed it before it can influence the deadline cut.
-            stale = [
-                r for r in remaining if r.deadline_us is not None
-                and (r.deadline_us <= r.arrival_us
-                     or r.deadline_us <= open_us)
-            ]
-            if stale:
-                shed.extend(stale)
-                dead = {id(r) for r in stale}
+            w = self._first_window(remaining)
+            if w.stale:
+                shed.extend(w.stale)
+                dead = {id(r) for r in w.stale}
                 remaining = [r for r in remaining if id(r) not in dead]
                 continue
-            window_close = open_us + pol.window_us
-            # Deadline-aware cut: the earliest absolute deadline among
-            # the requests that would join this window pulls the close
-            # time forward so no member is dispatched past its budget.
-            joiner_deadlines = [
-                r.deadline_us for r in remaining
-                if r.arrival_us <= window_close and r.deadline_us is not None
-            ]
-            cut = max(open_us, min([window_close] + joiner_deadlines))
-            eligible = [r for r in remaining if r.arrival_us <= cut]
-            if len(eligible) >= pol.max_batch:
+            eligible = w.eligible
+            if w.fill_us is not None:
                 closed_by = "size"
                 if weights:
                     # Tenant fair share: the batch closes once enough
@@ -247,35 +298,29 @@ class RequestBatcher:
                     # arrival cannot front-run into a batch that closed
                     # before it existed, and the close stamps at the
                     # fill instant, not the last *chosen* arrival.
-                    fill_us = eligible[pol.max_batch - 1].arrival_us
                     candidates = [r for r in eligible
-                                  if r.arrival_us <= fill_us]
+                                  if r.arrival_us <= w.fill_us]
                     take = sorted(candidates,
                                   key=_selection_key)[:pol.max_batch]
-                    dispatch = fill_us
+                    dispatch = w.fill_us
             else:
                 take = eligible
-                last = max(r.arrival_us for r in take)
-                timer_fired = now_us is not None and now_us >= cut
-                if len(eligible) < len(remaining):
-                    # A later arrival fell outside the cut: this batch
-                    # closed at its deadline or window.
-                    closed_by = ("deadline" if cut < window_close
-                                 else "window")
-                    dispatch = cut
-                elif timer_fired:
-                    closed_by = ("deadline" if cut < window_close
-                                 else "window")
-                    dispatch = cut
+                if (len(eligible) < len(remaining)
+                        or (now_us is not None and now_us >= w.cut)):
+                    # A later arrival fell outside the cut, or the
+                    # timer reached it: closed at its deadline or window.
+                    closed_by = w.closed_by
+                    dispatch = w.cut
                 elif drain:
                     # Explicit flush: dispatch now (never before the
                     # last arrival, never after the batch's own budget).
+                    last = max(r.arrival_us for r in take)
                     closed_by = "drain"
-                    dispatch = (max(last, min(now_us, cut))
+                    dispatch = (max(last, min(now_us, w.cut))
                                 if now_us is not None else last)
                 else:
                     break  # keep the young partial batch pending
-            batches.append(Batch(take, open_us, dispatch, closed_by))
+            batches.append(Batch(take, w.open_us, dispatch, closed_by))
             taken = {id(r) for r in take}
             remaining = [r for r in remaining if id(r) not in taken]
         self._expired.extend(shed)

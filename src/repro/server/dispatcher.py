@@ -837,6 +837,9 @@ class HEServer:
         # *timing* stays deterministic for a single coordinator; with
         # several, arrival interleaving is the caller's nondeterminism.
         self._mu = threading.RLock()
+        #: Set by every enqueueing :meth:`submit`: a pump sleeping until
+        #: :meth:`next_cut_us` wakes to re-plan around the new arrival.
+        self.wake = threading.Event()
 
     # -- control plane ------------------------------------------------------------
 
@@ -936,7 +939,8 @@ class HEServer:
             self.sessions.note_request(req.client_id)
             self.batcher.add(req)
             self._request_log.append(req)
-            return req.request_id
+        self.wake.set()
+        return req.request_id
 
     def _shed_overloaded(self, req: ServeRequest, reason: str) -> ServeResponse:
         """Give ``req`` its typed ``overloaded`` terminal (holds ``_mu``)."""
@@ -1061,16 +1065,16 @@ class HEServer:
         """One timer tick: close due batches, dispatch, collect responses.
 
         The pump-driven alternative to :meth:`stream`/:meth:`drain` —
-        the socket front end calls this on a wall-clock cadence.
-        Advances the simulated clock to ``now_us`` (when given) and
-        closes exactly the batches whose size filled or whose window /
-        deadline cut lies at or before the clock; nothing is
-        force-drained, so a partial batch younger than its window stays
-        pending for a later tick.  Returns every response that became
-        terminal through this tick in yield order: dispatched batches,
-        expired-on-arrival sheds, and any immediately-terminal responses
-        produced since the last tick (admission/tenant sheds, eviction
-        victims).
+        the socket front end calls this at each :meth:`next_cut_us`
+        (and on an idle heartbeat).  Advances the simulated clock to
+        ``now_us`` (when given) and closes exactly the batches whose
+        size filled or whose window / deadline cut lies at or before the
+        clock; nothing is force-drained, so a partial batch younger than
+        its window stays pending for a later tick.  Returns every
+        response that became terminal through this tick in yield order:
+        dispatched batches, expired-on-arrival sheds, and any
+        immediately-terminal responses produced since the last tick
+        (admission/tenant sheds, eviction victims).
         """
         with self._mu:
             if now_us is not None:
@@ -1086,6 +1090,13 @@ class HEServer:
             self.pump_ticks += 1
         responses.sort(key=lambda r: (r.yielded_at_us, r.request_id))
         return responses
+
+    def next_cut_us(self) -> Optional[float]:
+        """The batcher's next close instant (:meth:`RequestBatcher.next_cut_us`):
+        the earliest ``now_us`` at which :meth:`pump_once` dispatches or
+        sheds something; None with nothing pending."""
+        with self._mu:
+            return self.batcher.next_cut_us()
 
     def take_fresh_terminal(self) -> List[ServeResponse]:
         """Drain responses that became terminal outside a dispatch.

@@ -12,8 +12,9 @@ self-describing but not self-delimiting on a byte stream):
 
     u32 message_len | frame bytes         (both directions)
 
-Serving is *pump-driven*: a :class:`~.pump.BatchPump` closes batches on
-a wall-clock cadence and pushes each response to its submitter's
+Serving is *pump-driven*: a :class:`~.pump.BatchPump` closes each batch
+the moment its window, deadline or size cut is reached in wall-clock
+time (woken by every submit) and pushes each response to its submitter's
 connection as the dispatcher yields it — there is no ``drain()`` call
 anywhere in the serving path, and results are bit-identical to the
 in-process drain of the same frames.  Exactly one terminal status per
@@ -377,7 +378,7 @@ _NET_SERIES = (
      "Responses to anonymous clients that disconnected (kept in-process only).",
      _stat("undeliverable")),
     ("repro_pump_responses_total", "Responses routed by the batch pump.", "pump.responses"),
-    ("repro_pump_period_ms", "Configured pump cadence.", "pump.pump_ms"),
+    ("repro_pump_period_ms", "Configured pump idle heartbeat.", "pump.pump_ms"),
 )
 
 

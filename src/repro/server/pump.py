@@ -1,21 +1,25 @@
-"""Timer-driven batch pump: wall-clock cadence over the simulated server.
+"""Event-driven batch pump: wall-clock ticks over the simulated server.
 
 Everything inside :class:`~repro.server.dispatcher.HEServer` runs on a
 deterministic simulated clock, and until now nothing closed a batch
 without an explicit ``drain()``/``stream()`` call.  An online server
 cannot work that way: a half-full batch must dispatch when its window
 elapses in *real* time, with no client action.  This module supplies
-the missing heartbeat:
+the missing driver:
 
 * :class:`SimClock` anchors the simulated microsecond axis to
   ``time.monotonic()`` (one wall microsecond = one simulated
   microsecond), so arrival stamps and window cuts line up with what the
   sockets actually observe;
 * :class:`BatchPump` calls ``server.pump_once(now_us=clock.now_us())``
-  every ``pump_ms`` milliseconds on a daemon thread.  Each tick closes
-  exactly the batches whose size filled or whose window/deadline cut
-  has been reached — never a forced drain — and hands every newly
-  terminal response to the transport's router.
+  on a daemon thread at the instant the earliest pending batch can
+  close (``server.next_cut_us()``), re-planning whenever ``submit``
+  sets the server's wake event.  With nothing due it ticks every
+  ``pump_ms`` milliseconds, an idle heartbeat for parked-response
+  flushes and expiry sweeps.  Each tick closes exactly the batches
+  whose size filled or whose window/deadline cut has been reached —
+  never a forced drain — and hands every newly terminal response to
+  the transport's router.
 
 The pump holds no protocol state; it is safe to drive ``tick()``
 manually (tests, single-threaded tools) instead of ``start()``-ing the
@@ -45,11 +49,14 @@ class SimClock:
 
 
 class BatchPump:
-    """Periodic ``pump_once`` driver with a response-routing callback.
+    """``pump_once`` driver, woken at batch cuts, with a response router.
 
-    ``on_response`` receives every response a tick completed (dispatched
-    batches, expired-on-arrival sheds, admission/tenant sheds, eviction
-    victims) in yield order; ``after_tick`` runs once per tick after the
+    The loop ticks at ``server.next_cut_us()``, re-plans whenever
+    ``server.wake`` is set, and otherwise ticks every ``pump_ms`` (the
+    idle heartbeat: the longest it ever sleeps).  ``on_response``
+    receives every response a tick completed (dispatched batches,
+    expired-on-arrival sheds, admission/tenant sheds, eviction victims)
+    in yield order; ``after_tick`` runs once per tick after the
     responses are routed (the socket layer uses it to flush responses
     parked for reconnected clients).  Both callbacks run on the pump
     thread when the loop is running.
@@ -91,7 +98,7 @@ class BatchPump:
         return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> "BatchPump":
-        """Start the periodic loop (idempotent)."""
+        """Start the pump loop (idempotent)."""
         if self.running:
             return self
         self._stop.clear()
@@ -101,19 +108,34 @@ class BatchPump:
         return self
 
     def _run(self) -> None:
-        period_s = self.pump_ms * 1e-3
-        while not self._stop.wait(period_s):
+        heartbeat_s = self.pump_ms * 1e-3
+        wake = self.server.wake
+        while True:
+            # Clear before reading the plan: a submit landing after this
+            # line re-sets the event, so its arrival is never slept past.
+            wake.clear()
+            if self._stop.is_set():
+                return
+            cut = self.server.next_cut_us()
+            delay_s = (heartbeat_s if cut is None else
+                       min(max(cut - self.clock.now_us(), 0.0) * 1e-6,
+                           heartbeat_s))
+            if delay_s > 0.0 and wake.wait(delay_s):
+                continue  # new work (or stop): re-plan before ticking
             try:
                 self.tick()
             except Exception as exc:  # pragma: no cover - defensive
-                # A bad tick must not kill the heartbeat: count it,
-                # remember it, keep pumping.
+                # A bad tick must not kill the pump: count it, remember
+                # it, and keep pumping at the heartbeat rather than
+                # spinning on a cut it cannot clear.
                 self.errors += 1
                 self.last_error = f"{type(exc).__name__}: {exc}"
+                self._stop.wait(heartbeat_s)
 
     def stop(self) -> None:
         """Stop the loop and run one final tick (flush stragglers)."""
         self._stop.set()
+        self.server.wake.set()
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=5.0)

@@ -34,11 +34,12 @@ N_CLIENTS = 50
 PER_CLIENT = 2
 
 
-def _server(ckks, **kwargs):
+def _server(ckks, *, policy=BatchPolicy(max_batch=8, window_us=200.0),
+            **kwargs):
     return HEServer(
         ServerClient.params_wire(ckks["params"]),
         devices=[(DEVICE1, 2)],
-        policy=BatchPolicy(max_batch=8, window_us=200.0),
+        policy=policy,
         **kwargs,
     )
 
@@ -172,16 +173,54 @@ class TestSocketSoak:
         assert 'repro_server_latency_us_count{priority="1"} 1' in text
 
 
+class TestEventDrivenPump:
+    def test_service_does_not_wait_for_the_heartbeat(self, ckks):
+        """With a 1 s idle heartbeat, a lone ``add`` is still answered
+        within 100 ms: the pump wakes at the batch's 200 us cut."""
+        frames, _ = _frames(ckks, 1, 2)
+        (_, warm), (rid, frame) = frames[0]
+        bg = serve_in_background(_server(ckks), pump_ms=1000.0)
+        try:
+            with NetClient(bg.host, bg.port) as cli:
+                cli.submit_frame(warm)  # first-use set-up stays untimed
+                cli.collect(1, timeout_s=30.0)
+                t0 = time.monotonic()
+                cli.submit_frame(frame)
+                (resp,) = cli.collect(1, timeout_s=30.0)
+                elapsed_s = time.monotonic() - t0
+        finally:
+            bg.stop()
+        assert resp.request_id == rid and resp.ok
+        assert elapsed_s < 0.1, f"answered after {elapsed_s * 1e3:.1f} ms"
+
+    def test_idle_server_ticks_at_heartbeat_rate(self, ckks):
+        """Nothing pending: the pump ticks at most once per heartbeat
+        (plus slack for the window edges) and never spins."""
+        pump_ms = 20.0
+        bg = serve_in_background(_server(ckks), pump_ms=pump_ms)
+        try:
+            pump = bg.server.pump
+            time.sleep(0.05)
+            t0, ticks0 = time.monotonic(), pump.ticks
+            time.sleep(0.5)
+            rate = (pump.ticks - ticks0) / (time.monotonic() - t0)
+        finally:
+            bg.stop()
+        assert rate <= 1000.0 / pump_ms + 2, f"{rate:.0f} ticks/s"
+
+
 class TestDisconnectResume:
     def test_midstream_disconnect_parks_then_resume_collects(self, ckks):
         """Disconnect after submitting, reconnect with the session
         ticket: every response completed meanwhile was parked and is
         flushed after the resume hello — zero lost, zero duplicated."""
         enc = ckks["encoder"]
-        server = _server(ckks)
-        # Slow pump: the client can submit and vanish before any batch
-        # closes, so the responses must park.
-        bg = serve_in_background(server, pump_ms=60.0)
+        # Wide window: the client can submit and vanish before the batch
+        # closes, so the responses must park.  The pump serves a batch
+        # at its cut, so only the window can hold it back.
+        server = _server(ckks, policy=BatchPolicy(max_batch=8,
+                                                  window_us=500_000.0))
+        bg = serve_in_background(server, pump_ms=5.0)
         try:
             cli = NetClient(bg.host, bg.port, client_id="alice").connect()
             ack = cli.hello()

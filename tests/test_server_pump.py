@@ -158,6 +158,59 @@ class TestExpiredOnArrivalShed:
         assert server.response("stale").status == "expired"
 
 
+class TestNextCut:
+    """``next_cut_us`` is the first ``now_us`` at which ``form_batches``
+    closes something: just before it nothing closes, at it the batch
+    does, with the reason the cut named."""
+
+    @staticmethod
+    def _closes_exactly_at(b, cut, closed_by):
+        assert b.form_batches(now_us=cut - 1.0) == []
+        (batch,) = b.form_batches(now_us=cut)
+        assert batch.closed_by == closed_by
+        assert b.next_cut_us() is None
+
+    def test_empty_is_none(self):
+        assert RequestBatcher().next_cut_us() is None
+
+    def test_window_cut(self):
+        b = RequestBatcher(BatchPolicy(max_batch=8, window_us=200.0))
+        b.add(_req("r0", 100.0))
+        b.add(_req("r1", 150.0))
+        assert b.next_cut_us() == 300.0
+        self._closes_exactly_at(b, 300.0, "window")
+
+    def test_deadline_cut(self):
+        b = RequestBatcher(BatchPolicy(max_batch=8, window_us=200.0))
+        b.add(_req("r0", 100.0))
+        b.add(_req("r1", 150.0, deadline_ms=0.1))  # due at 250 < 300
+        assert b.next_cut_us() == 250.0
+        self._closes_exactly_at(b, 250.0, "deadline")
+
+    def test_size_fill_is_the_fill_instant(self):
+        b = RequestBatcher(BatchPolicy(max_batch=2, window_us=10_000.0))
+        for i, t in enumerate([0.0, 10.0, 20.0]):
+            b.add(_req(f"r{i}", t))
+        assert b.next_cut_us() == 10.0  # the 2nd arrival filled the batch
+        (batch,) = b.form_batches(now_us=20.0)
+        assert batch.closed_by == "size"
+        # "r2" opens the next window.
+        assert b.next_cut_us() == 10_020.0
+
+    def test_stale_deadline_is_due_now(self):
+        """An expired-on-arrival request is shed by the very next tick,
+        so its cut is its own arrival: already past on a live clock."""
+        t0 = TestExpiredOnArrivalShed.STALE_ARRIVAL
+        b = RequestBatcher(BatchPolicy(max_batch=8, window_us=200.0))
+        b.add(_req("live", t0))
+        b.add(_req("stale", t0 + 10.0,
+                   deadline_ms=TestExpiredOnArrivalShed.STALE_DEADLINE_MS))
+        assert b.next_cut_us() == t0 + 10.0
+        assert b.form_batches(now_us=t0 + 10.0) == []  # window still open
+        assert [r.request_id for r in b.take_expired()] == ["stale"]
+        assert b.next_cut_us() == t0 + 200.0
+
+
 # ---------------------------------------------------------------------------
 # Bugfix 3: retry backoff never overruns the request deadline.
 # ---------------------------------------------------------------------------
@@ -300,6 +353,17 @@ class TestBatchPump:
         assert sorted(r.request_id for r in got) == ["t0", "t1"]
         assert all(r.ok for r in got)
         assert pump.errors == 0
+
+    def test_stop_is_prompt_with_a_long_heartbeat(self, pump_server):
+        """stop() wakes the sleeping loop instead of waiting out a 10 s
+        heartbeat."""
+        server, _ = pump_server
+        pump = BatchPump(server, pump_ms=10_000.0).start()
+        time.sleep(0.02)  # let the loop reach its wait
+        t0 = time.monotonic()
+        pump.stop()
+        assert time.monotonic() - t0 < 0.1
+        assert not pump.running
 
     def test_rejects_nonpositive_period(self, pump_server):
         server, _ = pump_server
@@ -453,48 +517,87 @@ TICKS = st.lists(
 )
 
 
+POLICIES = st.tuples(st.integers(min_value=1, max_value=5),
+                     st.floats(min_value=0.0, max_value=400.0,
+                               allow_nan=False, allow_infinity=False))
+
+
+def _assert_pump_matches_oneshot(seq, policy, pump):
+    """``pump(live, reqs, t_final)`` feeds every request of the trace
+    into ``live`` with its own interleaved ticks and returns the batches
+    they closed; they, the shed sets and the leftovers must equal one
+    ``form_batches`` over the whole trace."""
+    max_batch, window_us = policy
+    reqs = sorted(
+        (_req(f"r{i:03d}", a, priority=p, deadline_ms=d)
+         for i, (a, p, d) in enumerate(seq)),
+        key=lambda r: (r.arrival_us, r.request_id),
+    )
+    t_final = max(r.arrival_us for r in reqs) + window_us + 1.0
+
+    oneshot = RequestBatcher(BatchPolicy(max_batch=max_batch,
+                                         window_us=window_us))
+    for r in reqs:
+        oneshot.add(r)
+    expected = oneshot.form_batches(now_us=t_final)
+
+    live = RequestBatcher(BatchPolicy(max_batch=max_batch,
+                                      window_us=window_us))
+    got = pump(live, reqs, t_final)
+    got += live.form_batches(now_us=t_final)
+
+    assert _batch_fingerprint(got) == _batch_fingerprint(expected)
+    assert sorted(r.request_id for r in live.take_expired()) == \
+        sorted(r.request_id for r in oneshot.take_expired())
+    assert sorted(r.request_id for r in live.pending) == \
+        sorted(r.request_id for r in oneshot.pending)
+
+
 class TestIncrementalPumpEquivalence:
     @settings(max_examples=150, **COMMON)
-    @given(seq=ARRIVALS, ticks=TICKS,
-           policy=st.tuples(st.integers(min_value=1, max_value=5),
-                            st.floats(min_value=0.0, max_value=400.0,
-                                      allow_nan=False,
-                                      allow_infinity=False)))
+    @given(seq=ARRIVALS, ticks=TICKS, policy=POLICIES)
     def test_interleaved_pump_matches_oneshot(self, seq, ticks, policy):
         """Feeding arrivals incrementally with arbitrary interleaved
         pump calls yields batches identical to handing the batcher the
         whole trace at once: membership, open/dispatch stamps and close
         reasons all match, as do the shed sets and leftovers."""
-        max_batch, window_us = policy
-        reqs = sorted(
-            (_req(f"r{i:03d}", a, priority=p, deadline_ms=d)
-             for i, (a, p, d) in enumerate(seq)),
-            key=lambda r: (r.arrival_us, r.request_id),
-        )
-        t_final = max(r.arrival_us for r in reqs) + window_us + 1.0
+        def arbitrary_ticks(live, reqs, t_final):
+            got, fed = [], 0
+            for tick in sorted(ticks):
+                while fed < len(reqs) and reqs[fed].arrival_us <= tick:
+                    live.add(reqs[fed])
+                    fed += 1
+                got += live.form_batches(now_us=min(tick, t_final))
+            for r in reqs[fed:]:
+                live.add(r)
+            return got
 
-        oneshot = RequestBatcher(BatchPolicy(max_batch=max_batch,
-                                             window_us=window_us))
-        for r in reqs:
-            oneshot.add(r)
-        expected = oneshot.form_batches(now_us=t_final)
+        _assert_pump_matches_oneshot(seq, policy, arbitrary_ticks)
 
-        live = RequestBatcher(BatchPolicy(max_batch=max_batch,
-                                          window_us=window_us))
-        got = []
-        fed = 0
-        for tick in sorted(ticks):
-            while fed < len(reqs) and reqs[fed].arrival_us <= tick:
-                live.add(reqs[fed])
-                fed += 1
-            got += live.form_batches(now_us=min(tick, t_final))
-        while fed < len(reqs):
-            live.add(reqs[fed])
-            fed += 1
-        got += live.form_batches(now_us=t_final)
+    @settings(max_examples=150, **COMMON)
+    @given(seq=ARRIVALS, policy=POLICIES)
+    def test_ticks_at_each_next_cut_match_oneshot(self, seq, policy):
+        """The schedule the threaded pump follows: after each arrival,
+        tick exactly at every ``next_cut_us()`` due before the next one
+        (or at the arrival itself when the cut is already past).  Every
+        such tick must close or shed something — a cut that closes
+        nothing would spin the pump — and the result still equals
+        one-shot batching, so no cut is missed either."""
+        def ticks_at_cuts(live, reqs, t_final):
+            got, now = [], 0.0
+            for i, r in enumerate(reqs):
+                live.add(r)
+                horizon = (reqs[i + 1].arrival_us if i + 1 < len(reqs)
+                           else t_final)
+                if horizon == r.arrival_us:
+                    continue  # a tick at this instant sees the whole tie
+                now = max(now, r.arrival_us)
+                while (cut := live.next_cut_us()) is not None \
+                        and cut < horizon:
+                    now = max(now, cut)
+                    depth = live.depth
+                    got += live.form_batches(now_us=now)
+                    assert live.depth < depth, (cut, now)
+            return got
 
-        assert _batch_fingerprint(got) == _batch_fingerprint(expected)
-        assert sorted(r.request_id for r in live.take_expired()) == \
-            sorted(r.request_id for r in oneshot.take_expired())
-        assert sorted(r.request_id for r in live.pending) == \
-            sorted(r.request_id for r in oneshot.pending)
+        _assert_pump_matches_oneshot(seq, policy, ticks_at_cuts)
