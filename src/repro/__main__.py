@@ -15,14 +15,15 @@ Commands
     ``--self-test`` additionally verifies every decrypted result and
     exits non-zero unless batched-async beats the baseline.
     ``--fusion`` enables the kernel-fusion compiler in the dispatcher;
-    ``--stream`` releases responses per-request as tiles finish;
+    ``--stream`` releases responses per-request as tiles finish (same
+    pump ticks as the barrier: identical results and batch stamps);
     ``--admission`` arms the token-bucket + backlog overload gate
     (``--admission-rate/-burst/-backlog``), under which the self-test
     checks exactly-one-terminal-response accounting instead of speedup.
     ``--listen HOST:PORT`` skips the synthetic run and serves the
     length-prefixed wire protocol over TCP in the foreground, batches
-    closed the moment their cut is reached (never a drain; ``--pump-ms``
-    is the idle heartbeat); ``--tenant-rate``
+    closed by the same ``pump_once`` loop the moment their cut is reached
+    (``--pump-ms`` is the idle heartbeat); ``--tenant-rate``
     /``--tenant-burst`` arm per-client token buckets with
     priority-eviction shedding on top of ``--admission``.
 ``fuse``
@@ -696,7 +697,8 @@ def main(argv: list | None = None) -> int:
                             "dispatcher (repro.fusion)")
     p_srv.add_argument("--stream", action="store_true",
                        help="release responses per-request as tiles finish "
-                            "instead of at the drain barrier")
+                            "instead of at the drain barrier (same pump "
+                            "ticks: identical results and batch stamps)")
     p_srv.add_argument("--admission", action="store_true",
                        help="enable token-bucket + backlog admission "
                             "control (typed 'overloaded' responses)")
@@ -716,8 +718,7 @@ def main(argv: list | None = None) -> int:
                             "traffic (port 0 = ephemeral)")
     p_srv.add_argument("--pump-ms", type=float, default=5.0,
                        help="batch pump idle heartbeat in ms for --listen "
-                            "(default 5; batches close at their cut, never "
-                            "a drain)")
+                            "(default 5; batches close at their cut)")
     p_srv.add_argument("--tenant-rate", type=float, default=0.0,
                        help="per-tenant token refill rate in req/s "
                             "(0 = no per-tenant fairness)")

@@ -15,6 +15,10 @@ implements the classic serving trade-off on the simulated clock:
   cut);
 * requests arriving after a batch's close time open the next batch.
 
+That is the only close rule: the online pump and in-process
+``stream()``/``drain()`` both tick ``HEServer.pump_once`` at each cut,
+so they stamp batches identically.
+
 When more requests are eligible than ``max_batch`` admits, membership is
 a priority queue *over the requests present at the fill instant*: the
 highest-priority (then earliest-deadline, then oldest) requests
@@ -37,9 +41,9 @@ more eligible requests than slots, membership is allocated per tenant
 proportionally to weight (largest-remainder rounding, priority order
 within a tenant) instead of pure priority order, so one bursty client
 cannot monopolise every batch.  The latency budget timer resets per
-batch — a drain never stamps a batch later than its own
-``open + window``, no matter how far the server-lifetime clock has
-advanced (empty-then-burst regression).  Batching stays deterministic
+batch — a batch is never stamped later than its own ``open + window``,
+no matter how far the server-lifetime clock has advanced
+(empty-then-burst regression).  Batching stays deterministic
 given arrivals, priorities, deadlines and weights, so tests can assert
 exact window semantics.  :meth:`RequestBatcher.next_cut_us` predicts the
 next close from the same cut computation, so an online pump can sleep
@@ -82,7 +86,7 @@ class Batch:
     requests: List[ServeRequest]
     open_us: float
     dispatch_us: float
-    closed_by: str  # "size" | "window" | "deadline" | "drain" | "requeue"
+    closed_by: str  # "size" | "window" | "deadline" | "requeue"
 
     @property
     def size(self) -> int:
@@ -252,20 +256,14 @@ class RequestBatcher:
             return min(r.arrival_us for r in w.stale)
         return w.cut if w.fill_us is None else w.fill_us
 
-    def form_batches(self, *, drain: bool = False,
-                     now_us: Optional[float] = None) -> List[Batch]:
+    def form_batches(self, *, now_us: Optional[float] = None) -> List[Batch]:
         """Close every batch implied by the pending arrivals.
 
-        ``now_us`` lets the window timer fire without new arrivals: a
-        partial batch whose ``open + window`` (or deadline cut) lies at
-        or before ``now_us`` closes at that cut — the streaming pump
-        path.  With ``drain=True`` the final partial batch closes
-        immediately (server shutdown / explicit flush) without waiting
-        out the window; its dispatch stamp is clamped to the batch's own
-        latency budget (``min(now, open + window)``, never before its
-        last arrival), so an idle stretch before a burst cannot charge
-        the burst the server-lifetime clock.  Otherwise a partial batch
-        younger than its window stays pending.
+        A batch closes at its fill instant, or at its window/deadline
+        cut once a later arrival or ``now_us`` reaches that cut; a
+        partial batch younger than its cut stays pending.  ``now_us``
+        decides only *which* batches close, never their stamps, so any
+        sequence of calls closes the same batches at the same instants.
         """
         if not self.pending:
             return []
@@ -311,13 +309,6 @@ class RequestBatcher:
                     # timer reached it: closed at its deadline or window.
                     closed_by = w.closed_by
                     dispatch = w.cut
-                elif drain:
-                    # Explicit flush: dispatch now (never before the
-                    # last arrival, never after the batch's own budget).
-                    last = max(r.arrival_us for r in take)
-                    closed_by = "drain"
-                    dispatch = (max(last, min(now_us, w.cut))
-                                if now_us is not None else last)
                 else:
                     break  # keep the young partial batch pending
             batches.append(Batch(take, w.open_us, dispatch, closed_by))

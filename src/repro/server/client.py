@@ -307,10 +307,11 @@ class ServerClient:
     def stream(self) -> Iterator[ServeResponse]:
         """Serve pending requests, yielding responses as they complete.
 
-        The streaming counterpart of :meth:`serve`: each response is
-        released at its own simulated completion instant
-        (``yielded_at_us``) instead of the drain barrier; results are
-        bit-identical either way.  Responses are cached for
+        The streaming counterpart of :meth:`serve`, driven by the same
+        pump ticks: each response (admission sheds included) is released
+        at its own simulated completion instant (``yielded_at_us``)
+        instead of the drain barrier; results and batch stamps are
+        identical either way.  Responses are cached for
         :meth:`response` / :meth:`result` as they arrive.
         """
         for resp in self.server.stream():

@@ -758,6 +758,10 @@ class HEServer:
       queues (Sec. III-C.2), sharded by :func:`plan_split` (Sec. V);
     * :class:`MemoryCache` — device memory reuse (Sec. III-C.1).
 
+    One loop drives it: :meth:`pump_once` alone forms and dispatches
+    batches, ticked at each :meth:`next_cut_us` by the online pump and
+    by :meth:`stream`/:meth:`drain` in-process (identical stamps).
+
     All timing is simulated; all ciphertext math is real.  Every
     submitted request receives exactly one terminal response: served
     (``ok``), executor-rejected (``error``), shed by admission control
@@ -824,9 +828,8 @@ class HEServer:
         self._seen_ids: set = set()
         self._request_log: List[ServeRequest] = []
         #: Responses that became terminal outside a dispatch — admission
-        #: and tenant-bucket sheds, eviction victims, expired-on-arrival
-        #: sheds — queued for the transport to push (the in-process
-        #: paths answer through :meth:`response` instead).
+        #: and tenant-bucket sheds, eviction victims — delivered once, by
+        #: the next :meth:`pump_once` or :meth:`take_fresh_terminal`.
         self._fresh_terminal: List[ServeResponse] = []
         #: Requests admitted then preempted by priority eviction — kept
         #: out of :attr:`request_log` (they were never served).
@@ -977,53 +980,35 @@ class HEServer:
     def stream(self) -> Iterator[ServeResponse]:
         """Serve everything pending, yielding responses as tiles finish.
 
-        The streaming alternative to the :meth:`drain` barrier: batches
-        dispatch in order, but each per-request response is released at
-        its own completion instant (``yielded_at_us == complete_us``),
-        merged across devices and batches in simulated-time order.
-        Responses of a later-dispatched batch never hold back completed
-        ones from earlier batches.  Abandoning the iterator early re-queues
-        the not-yet-dispatched batches' requests (a later ``stream()`` or
-        :meth:`drain` serves them), so the exactly-one-terminal-response
-        invariant survives a consumer that walks away mid-stream.
+        The incremental-completion alternative to the :meth:`drain`
+        barrier, looping over the online pump's tick: :meth:`pump_once`
+        at each :meth:`next_cut_us` until nothing is pending.  Every
+        terminal response (admission sheds included) is yielded at its
+        own completion instant (``yielded_at_us == complete_us``) once it
+        is no later than the next cut.  Requests not yet in a batch stay
+        in the batcher, so an abandoned iterator leaves them pending.
         """
         heap: List[Tuple[float, int, ServeResponse]] = []
         seq = 0
-        with self._mu:
-            with tracing.span("batch.form", cat="server"):
-                batches = self.batcher.form_batches(drain=True,
-                                                    now_us=self._clock_us)
-            for resp in self._expire_batcher_sheds():
-                heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
-                seq += 1
-        undispatched = list(batches)
-        try:
-            for batch in batches:
-                while heap and heap[0][0] <= batch.dispatch_us:
-                    yield heapq.heappop(heap)[2]
-                # One batch's dispatch + bookkeeping is atomic w.r.t.
-                # concurrent submit()/stream() callers; yields happen
-                # outside the lock so a slow consumer never blocks them.
-                with self._mu:
-                    undispatched.remove(batch)
-                    for resp in self._dispatch_recorded(batch):
-                        heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
-                        seq += 1
-            while heap:
-                yield heapq.heappop(heap)[2]
-        finally:
+        while True:
+            # One tick is atomic w.r.t. concurrent callers; yields happen
+            # outside the lock so a slow consumer never blocks them.
             with self._mu:
-                for batch in undispatched:
-                    for req in batch.requests:
-                        self.batcher.add(req)
-                self._clock_us = max(self._clock_us, self._latest_complete_us)
+                for resp in self.pump_once(now_us=self.batcher.next_cut_us()):
+                    heapq.heappush(heap, (resp.yielded_at_us, seq, resp))
+                    seq += 1
+                cut = self.batcher.next_cut_us()
+            while heap and (cut is None or heap[0][0] <= cut):
+                yield heapq.heappop(heap)[2]
+            if cut is None:
+                return
 
     def drain(self) -> Dict[str, ServeResponse]:
         """Serve everything pending; returns responses by request id.
 
-        Barrier semantics: responses are computed exactly as in
-        :meth:`stream` but released together once the last one
-        completes (``yielded_at_us`` = the barrier instant).
+        Barrier semantics: the same responses as :meth:`stream` (the
+        same pump ticks), released together once the last one completes
+        (``yielded_at_us`` = the barrier instant).
         """
         responses = list(self.stream())
         barrier_us = self._clock_us
@@ -1064,15 +1049,15 @@ class HEServer:
                   now_us: Optional[float] = None) -> List[ServeResponse]:
         """One timer tick: close due batches, dispatch, collect responses.
 
-        The pump-driven alternative to :meth:`stream`/:meth:`drain` —
-        the socket front end calls this at each :meth:`next_cut_us`
-        (and on an idle heartbeat).  Advances the simulated clock to
-        ``now_us`` (when given) and closes exactly the batches whose
-        size filled or whose window / deadline cut lies at or before the
-        clock; nothing is force-drained, so a partial batch younger than
-        its window stays pending for a later tick.  Returns every
-        response that became terminal through this tick in yield order:
-        dispatched batches, expired-on-arrival sheds, and any
+        The server's one serving loop body: the socket front end's pump
+        calls it at each :meth:`next_cut_us` (and on an idle heartbeat),
+        and :meth:`stream`/:meth:`drain` call it at each cut in-process.
+        Advances the simulated clock to ``now_us`` (when given) and
+        closes exactly the batches whose size filled or whose window /
+        deadline cut lies at or before the clock; a partial batch
+        younger than its window stays pending for a later tick.
+        Returns every response that became terminal through this tick,
+        in yield order: dispatched batches, expired-on-arrival sheds, and
         immediately-terminal responses produced since the last tick
         (admission/tenant sheds, eviction victims).
         """

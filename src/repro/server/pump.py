@@ -1,11 +1,11 @@
 """Event-driven batch pump: wall-clock ticks over the simulated server.
 
 Everything inside :class:`~repro.server.dispatcher.HEServer` runs on a
-deterministic simulated clock, and until now nothing closed a batch
-without an explicit ``drain()``/``stream()`` call.  An online server
-cannot work that way: a half-full batch must dispatch when its window
-elapses in *real* time, with no client action.  This module supplies
-the missing driver:
+deterministic simulated clock, and ``HEServer.pump_once`` is the one
+loop body that forms and dispatches batches.  In-process,
+``stream()``/``drain()`` tick it at each cut in simulated time; an
+online server must tick it when a window elapses in *real* time, with
+no client action.  This module supplies that driver:
 
 * :class:`SimClock` anchors the simulated microsecond axis to
   ``time.monotonic()`` (one wall microsecond = one simulated
@@ -17,9 +17,8 @@ the missing driver:
   sets the server's wake event.  With nothing due it ticks every
   ``pump_ms`` milliseconds, an idle heartbeat for parked-response
   flushes and expiry sweeps.  Each tick closes exactly the batches
-  whose size filled or whose window/deadline cut has been reached —
-  never a forced drain — and hands every newly terminal response to
-  the transport's router.
+  whose size filled or whose window/deadline cut has been reached and
+  hands every newly terminal response to the transport's router.
 
 The pump holds no protocol state; it is safe to drive ``tick()``
 manually (tests, single-threaded tools) instead of ``start()``-ing the
@@ -133,7 +132,8 @@ class BatchPump:
                 self._stop.wait(heartbeat_s)
 
     def stop(self) -> None:
-        """Stop the loop and run one final tick (flush stragglers)."""
+        """Stop the loop, then tick at each remaining cut until nothing
+        is pending, so every admitted request gets its terminal."""
         self._stop.set()
         self.server.wake.set()
         thread, self._thread = self._thread, None
@@ -141,6 +141,8 @@ class BatchPump:
             thread.join(timeout=5.0)
             try:
                 self.tick()
+                while (cut := self.server.next_cut_us()) is not None:
+                    self.tick(max(cut, self.clock.now_us()))
             except Exception as exc:  # pragma: no cover - defensive
                 self.errors += 1
                 self.last_error = f"{type(exc).__name__}: {exc}"

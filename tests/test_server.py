@@ -111,10 +111,10 @@ class TestBatchingWindow:
         b = RequestBatcher(BatchPolicy(max_batch=8, window_us=100.0))
         for i, t in enumerate([0.0, 30.0, 99.0]):
             b.add(_req(f"r{i}", t, any_ct))
-        batches = b.form_batches(drain=True)
+        batches = b.form_batches(now_us=100.0)
         assert len(batches) == 1
         assert batches[0].size == 3
-        assert batches[0].closed_by == "drain"
+        assert batches[0].closed_by == "window"
 
     def test_window_close_time(self, any_ct):
         """A batch closed by a later arrival dispatches at open + window."""
@@ -122,7 +122,7 @@ class TestBatchingWindow:
         b.add(_req("r0", 0.0, any_ct))
         b.add(_req("r1", 40.0, any_ct))
         b.add(_req("r2", 150.0, any_ct))  # outside r0's window
-        batches = b.form_batches(drain=True)
+        batches = b.form_batches(now_us=250.0)
         assert [bt.size for bt in batches] == [2, 1]
         first = batches[0]
         assert first.closed_by == "window"
@@ -133,7 +133,7 @@ class TestBatchingWindow:
         b = RequestBatcher(BatchPolicy(max_batch=2, window_us=1000.0))
         for i, t in enumerate([0.0, 10.0, 20.0, 30.0]):
             b.add(_req(f"r{i}", t, any_ct))
-        batches = b.form_batches(drain=True)
+        batches = b.form_batches(now_us=1030.0)
         assert [bt.size for bt in batches] == [2, 2]
         assert batches[0].closed_by == "size"
         assert batches[0].dispatch_us == pytest.approx(10.0)  # 2nd arrival
@@ -142,23 +142,23 @@ class TestBatchingWindow:
     def test_partial_batch_waits_without_drain(self, any_ct):
         b = RequestBatcher(BatchPolicy(max_batch=4, window_us=100.0))
         b.add(_req("r0", 0.0, any_ct))
-        assert b.form_batches(drain=False) == []
+        assert b.form_batches() == []
         assert b.depth == 1  # still pending
-        assert len(b.form_batches(drain=True)) == 1
+        assert len(b.form_batches(now_us=100.0)) == 1
         assert b.depth == 0
 
     def test_window_zero_dispatches_per_request(self, any_ct):
         b = RequestBatcher(BatchPolicy(max_batch=8, window_us=0.0))
         b.add(_req("r0", 0.0, any_ct))
         b.add(_req("r1", 5.0, any_ct))
-        batches = b.form_batches(drain=True)
+        batches = b.form_batches(now_us=5.0)
         assert [bt.size for bt in batches] == [1, 1]
 
     def test_simultaneous_arrivals_share_a_batch(self, any_ct):
         b = RequestBatcher(BatchPolicy(max_batch=8, window_us=0.0))
         b.add(_req("r0", 7.0, any_ct))
         b.add(_req("r1", 7.0, any_ct))
-        batches = b.form_batches(drain=True)
+        batches = b.form_batches(now_us=7.0)
         assert [bt.size for bt in batches] == [2]
 
     def test_policy_validation(self):

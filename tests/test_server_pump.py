@@ -1,11 +1,11 @@
 """Pump-driven batching, tenant fairness, and the PR-9 correctness fixes.
 
 Covers the timer-driven serving path (``HEServer.pump_once`` /
-``BatchPump`` — no ``drain()`` anywhere), the three regression fixes
-(size-close fill-instant membership, expired-on-arrival shedding before
-the deadline cut, retry backoff bounded by the request deadline), the
-per-tenant token-bucket + weighted fair-share + priority-eviction
-machinery, and the incremental-vs-oneshot pump equivalence property.
+``BatchPump``), the three regression fixes (size-close fill-instant
+membership, expired-on-arrival shedding before the deadline cut, retry
+backoff bounded by the request deadline), the per-tenant token-bucket +
+weighted fair-share + priority-eviction machinery, and the
+incremental-vs-oneshot and pump-vs-drain equivalence properties.
 """
 
 import threading
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.ciphertext import Ciphertext
 from repro.server import (
+    AdmissionPolicy,
     BatchPolicy,
     BatchPump,
     FrameError,
@@ -33,7 +34,7 @@ from repro.server import (
     encode_session_hello,
     submit_with_retry,
 )
-from repro.xesim import DEVICE1
+from repro.xesim import DEVICE1, DEVICE2
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -63,7 +64,7 @@ class TestSizeCloseFillInstant:
         b.add(_req("r0", 0.0))
         b.add(_req("r1", 10.0))
         b.add(_req("urgent", 20.0, priority=9))
-        first, second = b.form_batches(drain=True, now_us=20.0)
+        first, second = b.form_batches(now_us=10_020.0)
         assert [r.request_id for r in first.requests] == ["r0", "r1"]
         assert first.closed_by == "size"
         assert first.dispatch_us == pytest.approx(10.0)
@@ -77,7 +78,7 @@ class TestSizeCloseFillInstant:
         b.add(_req("lo", 0.0, priority=0))
         b.add(_req("hi", 5.0, priority=2))
         b.add(_req("later", 10.0, priority=2))
-        batches = b.form_batches(drain=True, now_us=10.0)
+        batches = b.form_batches(now_us=10_010.0)
         first = batches[0]
         assert first.closed_by == "size"
         # Fill instant = 2nd eligible arrival (t=5); "later" (t=10) was
@@ -95,7 +96,7 @@ class TestSizeCloseFillInstant:
         # 2nd eligible arrival is t=1, but eligibility spans the window:
         # with three requests pending the batch fills at t=1 and "c"
         # (t=2) is beyond the fill instant.
-        first = b.form_batches(drain=True, now_us=2.0)[0]
+        first = b.form_batches(now_us=10_002.0)[0]
         assert sorted(r.request_id for r in first.requests) == ["a", "b"]
         assert first.dispatch_us == pytest.approx(1.0)
 
@@ -122,7 +123,7 @@ class TestExpiredOnArrivalShed:
         b.add(_req("live0", t0 + 10.0))
         b.add(_req("live1", t0 + 20.0))
         assert b.pending[0].deadline_us == b.pending[0].arrival_us
-        (batch,) = b.form_batches(drain=False, now_us=t0 + 300.0)
+        (batch,) = b.form_batches(now_us=t0 + 300.0)
         assert sorted(r.request_id for r in batch.requests) == \
             ["live0", "live1"]
         assert batch.closed_by == "window"
@@ -319,6 +320,24 @@ class TestPumpOnce:
         assert isinstance(frame, bytes)
         assert decode_response(frame).request_id == "w0"
 
+    def test_pump_after_drain_redelivers_nothing(self, ckks):
+        """drain() returns every terminal, admission sheds included, so
+        a later pump tick has nothing left to deliver a second time."""
+        server = HEServer(
+            ServerClient.params_wire(ckks["params"]),
+            devices=[(DEVICE1, 2)],
+            policy=BatchPolicy(max_batch=4, window_us=100.0),
+            admission=AdmissionPolicy(rate_rps=1.0, burst=1, max_backlog=1),
+        )
+        enc = ckks["encoder"]
+        ct = ckks["encryptor"].encrypt(enc.encode(np.ones(enc.slots)))
+        ids = [server.submit(ServeRequest(f"d{i}", "add", [ct, ct]),
+                             arrival_us=float(i)) for i in range(4)]
+        drained = server.drain()
+        assert sorted(drained) == ids
+        assert sum(r.status == "overloaded" for r in drained.values()) == 3
+        assert server.pump_once(now_us=10_000.0) == []
+
 
 class TestBatchPump:
     def test_manual_tick_routes_responses(self, pump_server):
@@ -364,6 +383,26 @@ class TestBatchPump:
         pump.stop()
         assert time.monotonic() - t0 < 0.1
         assert not pump.running
+
+    def test_stop_serves_requests_still_in_their_window(self, ckks):
+        """stop() ticks at every remaining cut: a request whose 0.5 s
+        window is still open gets its terminal instead of staying
+        pending."""
+        server = HEServer(
+            ServerClient.params_wire(ckks["params"]),
+            devices=[(DEVICE1, 2)],
+            policy=BatchPolicy(max_batch=4, window_us=500_000.0),
+        )
+        enc = ckks["encoder"]
+        ct = ckks["encryptor"].encrypt(enc.encode(np.ones(enc.slots)))
+        got = []
+        pump = BatchPump(server, pump_ms=5.0, on_response=got.append).start()
+        server.submit(ServeRequest("late", "add", [ct, ct]),
+                      arrival_us=pump.clock.now_us())
+        pump.stop()
+        assert [r.request_id for r in got] == ["late"]
+        assert got[0].ok
+        assert server.batcher.depth == 0
 
     def test_rejects_nonpositive_period(self, pump_server):
         server, _ = pump_server
@@ -421,7 +460,7 @@ class TestTenantFairness:
         for i in range(4):
             b.add(_req(f"h{i}", float(i), client_id="heavy"))
             b.add(_req(f"l{i}", float(i) + 0.5, client_id="light"))
-        first = b.form_batches(drain=True, now_us=100.0)[0]
+        first = b.form_batches(now_us=10_004.0)[0]
         by_tenant = {}
         for r in first.requests:
             by_tenant[r.client_id] = by_tenant.get(r.client_id, 0) + 1
@@ -601,3 +640,42 @@ class TestIncrementalPumpEquivalence:
             return got
 
         _assert_pump_matches_oneshot(seq, policy, ticks_at_cuts)
+
+    @settings(max_examples=25, **COMMON)
+    @given(seq=ARRIVALS.map(lambda s: s[:8]), policy=POLICIES)
+    def test_pump_at_cuts_matches_drain(self, ckks, seq, policy):
+        """Server level: ticking ``pump_once`` at each ``next_cut_us()``
+        and one ``drain()`` over the same arrivals give every request the
+        same status, stamps, device, batch size and result bytes."""
+        max_batch, window_us = policy
+        enc = ckks["encoder"]
+        ct = ckks["encryptor"].encrypt(enc.encode(np.ones(enc.slots)))
+
+        def serve(drive):
+            server = HEServer(
+                ServerClient.params_wire(ckks["params"]),
+                devices=[(DEVICE1, 2), (DEVICE2, 1)],
+                policy=BatchPolicy(max_batch=max_batch, window_us=window_us),
+            )
+            for i, (arrival, priority, deadline_ms) in enumerate(seq):
+                server.submit(ServeRequest(f"r{i:03d}", "add", [ct, ct],
+                                           priority=priority,
+                                           deadline_ms=deadline_ms),
+                              arrival_us=arrival)
+            drive(server)
+            return [server.response(f"r{i:03d}") for i in range(len(seq))]
+
+        def pump_at_cuts(server):
+            while (cut := server.next_cut_us()) is not None:
+                server.pump_once(now_us=cut)
+
+        def fingerprint(resp):
+            return (resp.status, resp.dispatch_us, resp.complete_us,
+                    resp.device, resp.batch_size,
+                    None if resp.result is None
+                    else resp.result.data.tobytes())
+
+        drained = serve(lambda server: server.drain())
+        pumped = serve(pump_at_cuts)
+        assert list(map(fingerprint, pumped)) == \
+            list(map(fingerprint, drained))

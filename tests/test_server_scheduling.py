@@ -71,10 +71,10 @@ class TestBatcherProperties:
         batches = []
         if pump_at is not None:
             # A mid-run pump must only close batches whose own budget
-            # expired; the final drain picks up the rest.
-            batches += batcher.form_batches(drain=False, now_us=pump_at)
+            # expired; the final pump past every window picks up the rest.
+            batches += batcher.form_batches(now_us=pump_at)
         batches += batcher.form_batches(
-            drain=True, now_us=max(r.arrival_us for r in reqs))
+            now_us=max(r.arrival_us for r in reqs) + window_us)
 
         # 1. Partition exactness: no request dropped, none duplicated.
         placed = [r.request_id for b in batches for r in b.requests]
@@ -126,7 +126,8 @@ class TestBatcherProperties:
             r = ServeRequest(f"r{i:03d}", "square", [ct])
             r.arrival_us = arrival
             batcher.add(r)
-        batches = batcher.form_batches(drain=True)
+        batches = batcher.form_batches(
+            now_us=max(r.arrival_us for r in batcher.pending) + window_us)
         flat = [(r.arrival_us, r.request_id)
                 for b in batches for r in b.requests]
         assert flat == sorted(flat)
@@ -138,7 +139,7 @@ class TestFlushTimerRegression:
     def test_empty_then_burst_dispatches_at_own_window(self):
         """Regression: a partial burst arriving long after the clock has
         advanced must dispatch at its own open+window, not at the
-        drain-time server clock (which used to stamp `max(last, now)`)."""
+        server clock (which once stamped `max(last, now)`)."""
         batcher = RequestBatcher(BatchPolicy(max_batch=8, window_us=200.0))
         ct = _ct()
         for i, arrival in enumerate([1_000_000.0, 1_000_010.0]):
@@ -146,32 +147,20 @@ class TestFlushTimerRegression:
             r.arrival_us = arrival
             batcher.add(r)
         # Server-lifetime clock far past the burst (earlier epochs ran).
-        (batch,) = batcher.form_batches(drain=True, now_us=5_000_000.0)
+        (batch,) = batcher.form_batches(now_us=5_000_000.0)
         assert batch.dispatch_us == pytest.approx(1_000_200.0)
         assert batch.closed_by == "window"
 
-    def test_drain_before_window_flushes_at_now(self):
-        """Flushing before the window expires keeps drain semantics."""
-        batcher = RequestBatcher(BatchPolicy(max_batch=8, window_us=200.0))
-        ct = _ct()
-        r = ServeRequest("b0", "square", [ct])
-        r.arrival_us = 100.0
-        batcher.add(r)
-        (batch,) = batcher.form_batches(drain=True, now_us=150.0)
-        assert batch.closed_by == "drain"
-        assert batch.dispatch_us == pytest.approx(150.0)
-
     def test_pump_fires_window_timer_without_new_arrivals(self):
-        """form_batches(drain=False, now_us=...) closes a window-expired
-        partial batch — the streaming pump path; previously only a later
-        arrival or the final drain could close it."""
+        """form_batches(now_us=...) closes a window-expired partial
+        batch at its cut without a later arrival — the pump path."""
         batcher = RequestBatcher(BatchPolicy(max_batch=8, window_us=100.0))
         ct = _ct()
         r = ServeRequest("p0", "square", [ct])
         r.arrival_us = 50.0
         batcher.add(r)
-        assert batcher.form_batches(drain=False, now_us=149.0) == []
-        (batch,) = batcher.form_batches(drain=False, now_us=151.0)
+        assert batcher.form_batches(now_us=149.0) == []
+        (batch,) = batcher.form_batches(now_us=151.0)
         assert batch.closed_by == "window"
         assert batch.dispatch_us == pytest.approx(150.0)
         assert batcher.depth == 0
@@ -278,8 +267,9 @@ class TestExactlyOneTerminalResponse:
                 assert resp.priority is not None
             if resp.status == "ok":
                 assert resp.result is not None
-        # Streamed yields cover every admitted request exactly once.
+        # Streamed yields cover every submitted request exactly once,
+        # admission sheds included.
         streamed_ids = [r.request_id for r in streamed]
-        assert sorted(streamed_ids) == sorted(admitted)
+        assert sorted(streamed_ids) == sorted(ids)
         if not with_admission:
             assert len(admitted) == len(ids)
