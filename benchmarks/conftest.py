@@ -1,8 +1,8 @@
 """Shared benchmark fixtures.
 
 Every figure benchmark renders its reproduced figure to stdout and to
-``benchmarks/results/<figure_id>.txt`` so EXPERIMENTS.md can reference
-the exact numbers a run produced.
+``benchmarks/results/<figure_id>.txt`` so the exact numbers a run
+produced can be referenced afterwards.
 """
 
 import pathlib
@@ -42,28 +42,6 @@ def record_figure(results_dir):
         (results_dir / f"{fig.figure_id}.txt").write_text(text + "\n")
         print("\n" + text)
         return text
-
-    return _record
-
-
-@pytest.fixture(scope="session")
-def wallclock_record(results_dir):
-    """Merge one section into ``benchmarks/results/BENCH_wallclock.json``.
-
-    The wall-clock benches (he_ops, ntt, serving) each contribute their
-    ops/sec table.  The top-level sections hold the *latest* run, and
-    every call additionally appends to a bounded ``history`` list (see
-    ``_wallclock.record``) so the perf trajectory across PRs is
-    trackable instead of being overwritten.
-    """
-    path = results_dir / "BENCH_wallclock.json"
-
-    def _record(section, payload, meta):
-        from _wallclock import record
-
-        record(path, section, payload, meta)
-        print(f"\n[wallclock] {section} -> {path}")
-        return path
 
     return _record
 

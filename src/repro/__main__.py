@@ -38,17 +38,13 @@ Commands
     the resolved backend, compiler, and cache state; ``--build`` forces
     a (re)compile; ``--self-test`` verifies native/packed/serial
     bit-identicality at the paper shape (N=4096, level 8) plus a native
-    speedup on the stacked NTT, and exits non-zero on failure or when
-    no toolchain is available.
+    speedup on the stacked NTT and, on hosts with >= 2 cpus, a 2-thread
+    speedup on the fwd NTT and the ciphertext multiply; exits non-zero
+    on failure or when no toolchain is available.
 ``metrics``
     Serve a small synthetic workload (workers + admission on) and print
     the full observability snapshot — Prometheus text by default,
     ``--json`` for the structured form.
-``report``
-    Render the perf-trajectory report (``benchmarks/results/report.html``)
-    from the committed wall-clock history.  ``--check`` additionally runs
-    the regression gate and exits non-zero when any backend/op/shape
-    series dropped more than the threshold vs its rolling baseline.
 ``info``
     Version and package inventory.
 """
@@ -529,24 +525,23 @@ def cmd_native(args: argparse.Namespace) -> int:
     print(f"stacked fwd NTT      : native {t_nat * 1e3:.3f} ms vs packed "
           f"{t_pack * 1e3:.3f} ms ({speedup:.2f}x)")
 
-    # Cores-vs-throughput scaling probe: the same fwd NTT under 1, 2, ...
-    # kernel threads.  The multi-core floor only binds when the host
-    # actually has more than one cpu.
-    counts = sorted({1, 2, cpu} - {0})
-    counts = [t for t in counts if t <= max(cpu, 2)]
-    scaling = {}
-    with native.use_backend("native"):
-        for t in counts:
-            with native.use_threads(t):
-                dt = med(lambda: engine.forward(x))
-            scaling[t] = 1.0 / dt
-    print("thread scaling       : "
-          + ", ".join(f"t{t}={ops:,.0f} ops/s" for t, ops in scaling.items()))
+    # Cores-vs-throughput scaling probes: the fwd NTT and the ciphertext
+    # multiply under 1, 2, ... kernel threads.  The multi-core floor only
+    # binds when the host actually has more than one cpu.
     thread_ok = True
-    if cpu >= 2 and 2 in scaling:
-        thread_speedup = scaling[2] / scaling[1]
-        print(f"2-thread speedup     : {thread_speedup:.2f}x")
-        thread_ok = thread_speedup > 1.2
+    for name, probe in (("fwd NTT", lambda: engine.forward(x)),
+                        ("multiply", lambda: ev.multiply(a, b))):
+        scaling = {}
+        with native.use_backend("native"):
+            for t in sorted({1, 2, cpu}):
+                with native.use_threads(t):
+                    scaling[t] = 1.0 / med(probe)
+        line = ", ".join(f"t{t}={ops:,.0f} ops/s" for t, ops in scaling.items())
+        if cpu >= 2:
+            thread_speedup = scaling[2] / scaling[1]
+            line += f" (2-thread {thread_speedup:.2f}x)"
+            thread_ok = thread_ok and thread_speedup > 1.2
+        print(f"thread scaling {name:<8}: {line}")
     ok = identical and speedup > 1.2 and thread_ok
     print(f"self-test: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -620,37 +615,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .obs import report as obs_report
-
-    path = Path(args.history) if args.history else obs_report.DEFAULT_RESULTS
-    try:
-        data = obs_report.load_results(path)
-    except FileNotFoundError:
-        print(f"report: no benchmark results at {path}; run the wall-clock "
-              f"benchmarks first (pytest benchmarks/ -m wallclock)")
-        return 2
-
-    check = None
-    if args.check:
-        threshold = args.threshold
-        if threshold is None:
-            # --quick runs ride noisy few-rep benchmarks; relax the gate.
-            threshold = 0.35 if args.quick else 0.2
-        check = obs_report.check_regressions(data, threshold=threshold)
-
-    out = Path(args.out) if args.out else path.parent / "report.html"
-    obs_report.write_report(out, data, check=check)
-    print(f"report: {len(obs_report.build_figures(data))} figures -> {out}")
-    if check is not None:
-        print()
-        print(obs_report.render_check(check))
-        return 0 if check.ok else 1
-    return 0
-
-
 def cmd_info(_args: argparse.Namespace) -> int:
     from . import __version__
 
@@ -658,7 +622,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
           f"Computing on Intel GPUs' (IPDPS 2022, arXiv:2109.14704)")
     print("packages: modmath rns ntt native xesim runtime core gpu server "
           "apps analysis obs")
-    print("docs: README.md DESIGN.md EXPERIMENTS.md")
+    print("docs: README.md ROADMAP.md CHANGES.md")
     return 0
 
 
@@ -785,26 +749,6 @@ def main(argv: list | None = None) -> int:
     p_chaos.add_argument("--json", default=None, metavar="PATH",
                          help="also write the summary JSON to PATH")
     p_chaos.set_defaults(fn=cmd_chaos)
-
-    p_rep = sub.add_parser("report", help="render the perf-trajectory report "
-                                          "and optionally gate on it")
-    p_rep.add_argument("--check", action="store_true",
-                       help="run the regression gate; nonzero exit when any "
-                            "series dropped more than the threshold")
-    p_rep.add_argument("--quick", action="store_true",
-                       help="quick-bench mode: relax the default gate "
-                            "threshold to 35%% (noisy few-rep runs)")
-    p_rep.add_argument("--threshold", type=float, default=None,
-                       help="max allowed fractional ops/sec drop vs the "
-                            "rolling baseline (default 0.2; 0.35 with "
-                            "--quick)")
-    p_rep.add_argument("--history", metavar="PATH", default=None,
-                       help="results JSON to read (default "
-                            "benchmarks/results/BENCH_wallclock.json)")
-    p_rep.add_argument("--out", metavar="PATH", default=None,
-                       help="HTML output path (default report.html next to "
-                            "the history file)")
-    p_rep.set_defaults(fn=cmd_report)
 
     p_info = sub.add_parser("info", help="version and inventory")
     p_info.set_defaults(fn=cmd_info)

@@ -3,7 +3,8 @@
 Each ``figN_*`` function recomputes the corresponding result from the
 model/library and returns a :class:`FigureResult` carrying the series,
 the paper's reference values, and our measured counterparts — the
-benchmarks render these and EXPERIMENTS.md records them.
+benchmarks render these to ``benchmarks/results/<figure_id>.txt`` and
+``python -m repro figures`` prints them.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def fig19_matmul(device_name: str = "Device1") -> FigureResult:
     )
 
 
-#: Registry used by the benchmark harness and EXPERIMENTS.md generator.
+#: The one figure registry, behind ``python -m repro figures``.
 ALL_FIGURES = {
     "fig5_device1": lambda: fig5_profiling("Device1"),
     "fig5_device2": lambda: fig5_profiling("Device2"),

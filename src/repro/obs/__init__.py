@@ -1,6 +1,6 @@
-"""Cross-cutting observability: tracing, metrics registry, perf report.
+"""Cross-cutting observability: tracing and a metrics registry.
 
-Three legs, all dependency-free (stdlib only) so every other package can
+Two legs, both dependency-free (stdlib only) so every other package can
 instrument itself without import cycles:
 
 * :mod:`repro.obs.tracing` — a lightweight span API.  ``span(...)``
@@ -17,14 +17,9 @@ instrument itself without import cycles:
   admission gate, worker pool, socket front end, scratch registries and
   NTT table caches all register pull views of their live state here;
   ``HEServer.metrics_snapshot()`` and ``python -m repro metrics`` render it.
-* :mod:`repro.obs.report` — a figure registry rendering the
-  ``BENCH_wallclock.json`` history into one self-contained HTML page
-  (``python -m repro report``) plus the perf regression gate
-  (``report --check``) CI runs against the rolling baseline.
 
-The shared nearest-rank :func:`percentile` lives in
-:mod:`repro.obs.metrics` so ``ServerMetrics`` and the report use one
-implementation.
+The nearest-rank :func:`percentile` ``ServerMetrics`` uses lives in
+:mod:`repro.obs.metrics`.
 """
 
 from . import metrics, tracing

@@ -23,10 +23,9 @@ The process-global default registry (:func:`get_registry`) is what the
 instrumented modules register into at import/creation time;
 :func:`use_registry` swaps in a fresh one for a test block.
 
-The shared nearest-rank :func:`percentile` lives here because both
-``ServerMetrics`` and the perf report need the same (correctly rounded)
-rank rule; see the note in its docstring for the banker's-rounding bug
-it replaces.
+The nearest-rank :func:`percentile` ``ServerMetrics`` uses lives here:
+one correctly rounded rank rule; see the note in its docstring for the
+banker's-rounding bug it replaces.
 """
 
 from __future__ import annotations

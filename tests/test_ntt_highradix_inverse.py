@@ -1,5 +1,6 @@
 """Tests for the high-radix inverse NTT and CLI entry points."""
 
+import pathlib
 import subprocess
 import sys
 
@@ -83,6 +84,10 @@ class TestCli:
         r = self.run_cli("info")
         assert r.returncode == 0
         assert "arXiv:2109.14704" in r.stdout
+        docs = next(l for l in r.stdout.splitlines() if l.startswith("docs:"))
+        root = pathlib.Path(__file__).resolve().parents[1]
+        for name in docs.split()[1:]:
+            assert (root / name).is_file(), name
 
     def test_devices(self):
         r = self.run_cli("devices")

@@ -1,6 +1,8 @@
 """Unit tests for ``repro.obs``: percentile rule, metrics, tracing."""
 
+import importlib.util
 import json
+import pathlib
 import threading
 
 import pytest
@@ -369,3 +371,18 @@ def test_enable_reinstalls_existing_tracer():
 def test_tracer_rejects_bad_capacity():
     with pytest.raises(ValueError):
         tracing.Tracer(capacity=0)
+
+
+def test_one_measuring_system():
+    """``e2ebench`` is the only speed ruler: no second history or gate."""
+    from repro.__main__ import main
+
+    assert importlib.util.find_spec("repro.obs.report") is None
+    with pytest.raises(SystemExit) as exc:
+        main(["report"])
+    assert exc.value.code == 2
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for top in ("src", "benchmarks"):
+        for path in (root / top).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                assert b"BENCH_wallclock" not in path.read_bytes(), path
