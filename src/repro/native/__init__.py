@@ -44,6 +44,7 @@ through :func:`repro.native.backend.kernels`, so ``Evaluator``,
 transparently.
 """
 
+from . import backend, glue
 from .backend import (
     BACKENDS,
     BackendUnavailableError,
@@ -52,6 +53,14 @@ from .backend import (
     use_backend,
 )
 from .build import NativeBuildError, build, cache_dir, find_compiler
+from .glue import (
+    availability_error,
+    available,
+    get_threads,
+    library_path,
+    set_threads,
+    use_threads,
+)
 
 __all__ = [
     "BACKENDS",
@@ -73,56 +82,7 @@ __all__ = [
 ]
 
 
-def available() -> bool:
-    """Whether the native kernel library builds/loads on this machine."""
-    from . import glue
-
-    return glue.available()
-
-
-def availability_error():
-    """Why the native backend is unavailable, or None when it is usable."""
-    from . import glue
-
-    return glue.availability_error()
-
-
-def library_path():
-    """Filesystem path of the loaded kernel library (None if unavailable)."""
-    from . import glue
-
-    return glue.library_path()
-
-
 def reset() -> None:
     """Forget library-load state and backend resolution (tests/env changes)."""
-    from . import backend, glue
-
     glue.reset()
     backend.invalidate()
-
-
-def set_threads(n):
-    """Set the native kernel worker-pool width; returns the applied width.
-
-    ``None`` restores the default (``REPRO_NATIVE_THREADS``, else
-    ``os.cpu_count()``).  Thread count never changes kernel outputs —
-    rows are computed by the same value sequence on any thread.
-    """
-    from . import glue
-
-    return glue.set_threads(n)
-
-
-def get_threads():
-    """The native worker-pool width currently in effect (or pending)."""
-    from . import glue
-
-    return glue.get_threads()
-
-
-def use_threads(n):
-    """Context manager: scoped native thread width, restored on exit."""
-    from . import glue
-
-    return glue.use_threads(n)

@@ -1,6 +1,10 @@
 """ctypes bridge between the stacked NumPy kernels and the compiled library.
 
-Every wrapper takes the same operands as its packed-NumPy counterpart
+:data:`KERNELS` maps each ``KernelTable`` field to its native caller.
+Twelve callers are generated, one per :class:`_RowKernel` declaration in
+:data:`_ROW_KERNELS`, which also yields their ctypes argtypes; the two
+NTTs, ``ks_decompose`` and ``scaler_tail`` are written out by hand.
+Every caller takes the same operands as its packed-NumPy counterpart
 (arrays plus a ``StackedModulus`` / ``StackedNTTTables``-shaped object,
 duck-typed so this module imports nothing from :mod:`repro.modmath`) and
 returns either the finished uint64 array — bit-identical to the NumPy
@@ -20,7 +24,7 @@ import logging
 import os
 import threading
 from contextlib import contextmanager
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,12 +36,7 @@ from .build import NativeBuildError, build
 __all__ = [
     "available", "availability_error", "library_path", "load", "reset",
     "note_fallback", "fallback_count", "register_metrics",
-    "set_threads", "get_threads", "use_threads",
-    "ntt_forward", "ntt_inverse", "ks_decompose",
-    "add_mod", "sub_mod", "neg_mod", "conditional_sub",
-    "barrett_reduce_64", "barrett_reduce_128",
-    "mul_mod", "mad_mod", "dyadic_product", "dyadic_square",
-    "mul_operand", "lazy_diff_mul_operand", "scaler_tail",
+    "set_threads", "get_threads", "use_threads", "KERNELS",
 ]
 
 logger = logging.getLogger("repro.native")
@@ -163,34 +162,58 @@ _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _U64 = ctypes.c_uint64
 
-#: argtypes per exported symbol (all restype None unless listed).
-_SIGS = {
+
+class _RowKernel(NamedTuple):
+    """One ``(rows, k, n)`` row kernel: its C symbol and argument counts.
+
+    Each such entry point takes ``inputs`` operand pointers, ``outputs``
+    result pointers, ``rows, k, n``, then the per-limb Harvey operand
+    columns ``w, wq`` when ``operand`` is set, then one pointer per
+    :func:`_mod_consts` column named in ``consts``, in that order.
+    """
+
+    symbol: str
+    inputs: int
+    outputs: int
+    consts: Tuple[str, ...]
+    operand: bool = False
+
+    def argtypes(self) -> list:
+        return ([_PTR] * (self.inputs + self.outputs) + [_I64] * 3
+                + [_PTR] * (2 * self.operand + len(self.consts)))
+
+
+_BARRETT = ("p", "two_p", "rhi", "c64", "c64q")
+
+#: One declaration per row kernel, keyed by its ``KernelTable`` field.
+_ROW_KERNELS = {
+    "add_mod": _RowKernel("repro_add_mod", 2, 1, ("p",)),
+    "sub_mod": _RowKernel("repro_sub_mod", 2, 1, ("p",)),
+    "neg_mod": _RowKernel("repro_neg_mod", 1, 1, ("p",)),
+    "conditional_sub": _RowKernel("repro_conditional_sub", 1, 1, ("p",)),
+    "barrett_reduce_64": _RowKernel("repro_barrett64", 1, 1, ("p", "rhi")),
+    "barrett_reduce_128": _RowKernel("repro_barrett128", 2, 1, _BARRETT),
+    "mul_mod": _RowKernel("repro_mul_mod", 2, 1, _BARRETT),
+    "mad_mod": _RowKernel("repro_mad_mod", 3, 1, _BARRETT),
+    "dyadic_product": _RowKernel("repro_dyadic_product", 4, 3, _BARRETT),
+    "dyadic_square": _RowKernel("repro_dyadic_square", 2, 3, _BARRETT),
+    "mul_operand": _RowKernel("repro_mul_operand", 1, 1, ("p",), True),
+    "lazy_diff_mul_operand": _RowKernel(
+        "repro_lazy_diff_mul_operand", 2, 1, ("p", "two_p"), True),
+}
+
+#: argtypes per exported symbol (all restype None): derived for the row
+#: kernels, spelled out for the four bespoke entry points.
+_SIGS = {spec.symbol: spec.argtypes() for spec in _ROW_KERNELS.values()}
+_SIGS.update({
     "repro_ntt_forward": [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64],
     "repro_ntt_inverse": [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR,
                           _PTR, _PTR, _I64],
-    "repro_add_mod": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "repro_sub_mod": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "repro_neg_mod": [_PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "repro_conditional_sub": [_PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "repro_barrett64": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
-    "repro_barrett128": [_PTR, _PTR, _PTR, _I64, _I64, _I64,
-                         _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_mul_mod": [_PTR, _PTR, _PTR, _I64, _I64, _I64,
-                      _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_mad_mod": [_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64,
-                      _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_dyadic_product": [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                             _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_dyadic_square": [_PTR, _PTR, _PTR, _PTR, _PTR,
-                            _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_mul_operand": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR],
-    "repro_lazy_diff_mul_operand": [_PTR, _PTR, _PTR, _I64, _I64, _I64,
-                                    _PTR, _PTR, _PTR, _PTR],
     "repro_scaler_tail": [_PTR, _PTR, _I64, _I64, _U64,
                           _PTR, _PTR, _PTR, _PTR, _PTR],
     "repro_ks_decompose": [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR,
                            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
-}
+})
 
 _ABI_VERSION = 2
 
@@ -258,6 +281,7 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 def available() -> bool:
+    """Whether the native kernel library builds/loads on this machine."""
     return load() is not None
 
 
@@ -268,6 +292,7 @@ def availability_error() -> Optional[str]:
 
 
 def library_path():
+    """Filesystem path of the loaded kernel library (None if unavailable)."""
     load()
     return _LIB_PATH
 
@@ -296,7 +321,8 @@ def set_threads(n: Optional[int]) -> int:
     ``os.cpu_count()``).  Applied immediately when the library is
     loaded, else remembered and applied at load time — so configuring
     threads never forces a compile.  The library clamps to its spawn
-    capacity, so the return value is authoritative.
+    capacity, so the return value is authoritative.  Thread count never
+    changes kernel outputs.
     """
     global _THREADS_REQUESTED, _THREADS_ACTIVE
     if n is not None and int(n) < 1:
@@ -394,13 +420,18 @@ def _operand_cols(w, wq_hi, wq_lo, k: int):
     return np.ascontiguousarray(w.reshape(k)), np.ascontiguousarray(wq)
 
 
-def _setup(st, *operands):
-    """(lib, arrays, out, dims, consts) or None when ineligible."""
-    if getattr(st, "trailing", 1) != 1:
-        return None  # non-standard limb-axis placement: NumPy handles it
+def _lib() -> Optional[ctypes.CDLL]:
+    """The library for one call, or None (injected fault, or unavailable)."""
     if _kernel_fault():
         return None
-    lib = load()
+    return load()
+
+
+def _setup(st, *operands):
+    """(lib, arrays, shape, dims, consts) or None when ineligible."""
+    if getattr(st, "trailing", 1) != 1:
+        return None  # non-standard limb-axis placement: NumPy handles it
+    lib = _lib()
     if lib is None:
         return None
     k = len(st)
@@ -416,157 +447,39 @@ def _setup(st, *operands):
 # -- elementwise kernels ------------------------------------------------------
 
 
-def add_mod(a, b, st):
-    res = _setup(st, a, b)
-    if res is None:
-        return None
-    lib, (a, b), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_add_mod(_ptr(a), _ptr(b), _ptr(out), rows, k, n, _ptr(K["p"]))
-    return out
+def _row_caller(spec: _RowKernel):
+    """The caller for one declared row kernel: the packed body's arguments
+    (``spec.inputs`` arrays, ``w, wq_hi, wq_lo`` when ``spec.operand``,
+    the stack) in; ``None`` or the ``(outputs,) + shape`` result out."""
+    symbol, inputs, outputs, consts, operand = spec
 
+    def call(*args):
+        res = _setup(args[-1], *args[:inputs])
+        if res is None:
+            return None
+        lib, arrs, shape, dims, K = res
+        cols = ()
+        if operand:
+            cols = _operand_cols(*args[inputs:inputs + 3], dims[1])
+            if cols is None:
+                return None
+        # Each .ctypes.data costs ~1 us; K's arrays live as long as K does.
+        cptrs = K.get(consts)
+        if cptrs is None:
+            cptrs = K[consts] = [_ptr(K[c]) for c in consts]
+        out = np.empty(shape if outputs == 1 else (outputs,) + shape,
+                       dtype=np.uint64)
+        outs = (out,) if outputs == 1 else out
+        getattr(lib, symbol)(*map(_ptr, arrs), *map(_ptr, outs), *dims,
+                             *map(_ptr, cols), *cptrs)
+        return out
 
-def sub_mod(a, b, st):
-    res = _setup(st, a, b)
-    if res is None:
-        return None
-    lib, (a, b), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_sub_mod(_ptr(a), _ptr(b), _ptr(out), rows, k, n, _ptr(K["p"]))
-    return out
-
-
-def neg_mod(a, st):
-    res = _setup(st, a)
-    if res is None:
-        return None
-    lib, (a,), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_neg_mod(_ptr(a), _ptr(out), rows, k, n, _ptr(K["p"]))
-    return out
-
-
-def conditional_sub(x, st):
-    res = _setup(st, x)
-    if res is None:
-        return None
-    lib, (x,), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_conditional_sub(_ptr(x), _ptr(out), rows, k, n, _ptr(K["p"]))
-    return out
-
-
-def barrett_reduce_64(x, st):
-    res = _setup(st, x)
-    if res is None:
-        return None
-    lib, (x,), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_barrett64(_ptr(x), _ptr(out), rows, k, n,
-                        _ptr(K["p"]), _ptr(K["rhi"]))
-    return out
-
-
-def barrett_reduce_128(hi, lo, st):
-    res = _setup(st, hi, lo)
-    if res is None:
-        return None
-    lib, (hi, lo), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_barrett128(_ptr(hi), _ptr(lo), _ptr(out), rows, k, n,
-                         _ptr(K["p"]), _ptr(K["two_p"]), _ptr(K["rhi"]),
-                         _ptr(K["c64"]), _ptr(K["c64q"]))
-    return out
-
-
-def mul_mod(a, b, st):
-    res = _setup(st, a, b)
-    if res is None:
-        return None
-    lib, (a, b), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_mul_mod(_ptr(a), _ptr(b), _ptr(out), rows, k, n,
-                      _ptr(K["p"]), _ptr(K["two_p"]), _ptr(K["rhi"]),
-                      _ptr(K["c64"]), _ptr(K["c64q"]))
-    return out
-
-
-def mad_mod(a, b, c, st):
-    res = _setup(st, a, b, c)
-    if res is None:
-        return None
-    lib, (a, b, c), shape, (rows, k, n), K = res
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_mad_mod(_ptr(a), _ptr(b), _ptr(c), _ptr(out), rows, k, n,
-                      _ptr(K["p"]), _ptr(K["two_p"]), _ptr(K["rhi"]),
-                      _ptr(K["c64"]), _ptr(K["c64q"]))
-    return out
-
-
-def dyadic_product(a0, a1, b0, b1, st):
-    res = _setup(st, a0, a1, b0, b1)
-    if res is None:
-        return None
-    lib, (a0, a1, b0, b1), shape, (rows, k, n), K = res
-    out = np.empty((3,) + shape, dtype=np.uint64)
-    lib.repro_dyadic_product(
-        _ptr(a0), _ptr(a1), _ptr(b0), _ptr(b1),
-        _ptr(out[0]), _ptr(out[1]), _ptr(out[2]), rows, k, n,
-        _ptr(K["p"]), _ptr(K["two_p"]), _ptr(K["rhi"]),
-        _ptr(K["c64"]), _ptr(K["c64q"]))
-    return out
-
-
-def dyadic_square(a0, a1, st):
-    res = _setup(st, a0, a1)
-    if res is None:
-        return None
-    lib, (a0, a1), shape, (rows, k, n), K = res
-    out = np.empty((3,) + shape, dtype=np.uint64)
-    lib.repro_dyadic_square(
-        _ptr(a0), _ptr(a1), _ptr(out[0]), _ptr(out[1]), _ptr(out[2]),
-        rows, k, n,
-        _ptr(K["p"]), _ptr(K["two_p"]), _ptr(K["rhi"]),
-        _ptr(K["c64"]), _ptr(K["c64q"]))
-    return out
-
-
-def mul_operand(x, w, wq_hi, wq_lo, st):
-    res = _setup(st, x)
-    if res is None:
-        return None
-    lib, (x,), shape, (rows, k, n), K = res
-    cols = _operand_cols(w, wq_hi, wq_lo, k)
-    if cols is None:
-        return None
-    wf, wqf = cols
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_mul_operand(_ptr(x), _ptr(out), rows, k, n,
-                          _ptr(wf), _ptr(wqf), _ptr(K["p"]))
-    return out
-
-
-def lazy_diff_mul_operand(m, r_lazy, w, wq_hi, wq_lo, st):
-    res = _setup(st, m, r_lazy)
-    if res is None:
-        return None
-    lib, (m, r_lazy), shape, (rows, k, n), K = res
-    cols = _operand_cols(w, wq_hi, wq_lo, k)
-    if cols is None:
-        return None
-    wf, wqf = cols
-    out = np.empty(shape, dtype=np.uint64)
-    lib.repro_lazy_diff_mul_operand(
-        _ptr(m), _ptr(r_lazy), _ptr(out), rows, k, n,
-        _ptr(wf), _ptr(wqf), _ptr(K["p"]), _ptr(K["two_p"]))
-    return out
+    return call
 
 
 def scaler_tail(matrix, half_d, kept_st, inv_w, inv_wq, d_mod):
     """Fused LastModulusScaler.divide_round over a ``(k, n)`` matrix."""
-    if _kernel_fault():
-        return None
-    lib = load()
+    lib = _lib()
     if lib is None:
         return None
     matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.uint64))
@@ -605,9 +518,7 @@ def _tables_consts(st_tables):
 
 
 def _ntt_setup(x, st_tables):
-    if _kernel_fault():
-        return None
-    lib = load()
+    lib = _lib()
     if lib is None:
         return None
     k = len(st_tables)
@@ -664,9 +575,7 @@ def ks_decompose(poly_ntt, inv_tables, fwd_tables):
     ``ntt_forward(barrett64(ntt_inverse(poly)))``, or None when
     ineligible.
     """
-    if _kernel_fault():
-        return None
-    lib = load()
+    lib = _lib()
     if lib is None:
         return None
     level = len(inv_tables)
@@ -692,3 +601,9 @@ def ks_decompose(poly_ntt, inv_tables, fwd_tables):
         _ptr(iK["ninv_w"]), _ptr(iK["ninv_q"]),
         _ptr(fw), _ptr(fwq), _ptr(fK["p"]), _ptr(fK["two_p"]), _ptr(rhi))
     return out
+
+
+#: ``KernelTable`` field -> native caller (``None`` = take the packed body).
+KERNELS = {field: _row_caller(spec) for field, spec in _ROW_KERNELS.items()}
+KERNELS.update(ntt_forward=ntt_forward, ntt_inverse=ntt_inverse,
+               ks_decompose=ks_decompose, scaler_tail=scaler_tail)

@@ -41,7 +41,8 @@ class KernelTable(NamedTuple):
 
     The elementwise entries take broadcastable uint64 operands and a
     ``StackedModulus``; the transforms take a ``(..., k, n)`` stack and
-    ``StackedNTTTables``.  Field names match :mod:`repro.native.glue`.
+    ``StackedNTTTables``.  Field names are the keys of
+    :data:`repro.native.glue.KERNELS`.
     """
 
     name: str
@@ -120,24 +121,21 @@ PACKED = KernelTable(
 # -- native: glue call first, packed body on None -----------------------------
 
 
-def _native_first(native_fn: Callable, packed_fn: Callable) -> Callable:
+def _native_first(field: str) -> Callable:
+    native_fn = glue.KERNELS[field]
+    packed_fn = getattr(PACKED, field)
+
     def kernel(*args, **kwargs):
         out = native_fn(*args, **kwargs)
         if out is None:
             return packed_fn(*args, **kwargs)
         return out
 
-    kernel.__name__ = kernel.__qualname__ = f"native_{native_fn.__name__}"
+    kernel.__name__ = kernel.__qualname__ = f"native_{field}"
     return kernel
 
 
-NATIVE = KernelTable(
-    "native",
-    *(
-        _native_first(getattr(glue, field), getattr(PACKED, field))
-        for field in KernelTable._fields[1:]
-    ),
-)
+NATIVE = KernelTable("native", *map(_native_first, KernelTable._fields[1:]))
 
 
 # -- serial: row loops over the scalar-Modulus reference kernels --------------

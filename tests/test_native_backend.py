@@ -22,6 +22,7 @@ from repro.native import (
     use_backend,
 )
 from repro.native.build import NativeBuildError
+from repro.native.tables import KernelTable
 
 HAVE_TOOLCHAIN = native.available()
 
@@ -228,6 +229,132 @@ def test_backend_is_read_only_through_the_kernel_table():
                     if "packed" in params:
                         with_packed.append(f"{info.name}.{fn.__qualname__}")
     assert not with_packed, with_packed
+
+
+def test_row_kernels_are_declared_once():
+    """glue exports one ``KernelTable``-keyed dict of callers, not one
+    wrapper per kernel, and the package re-exports glue's load and
+    thread functions instead of forwarding to them."""
+    from repro.native import glue
+
+    fields = set(KernelTable._fields[1:])
+    assert set(glue.KERNELS) == fields
+    bespoke = {"ntt_forward", "ntt_inverse", "ks_decompose", "scaler_tail"}
+    for name in sorted(fields - bespoke):
+        assert not hasattr(glue, name), name
+    for name in ("available", "availability_error", "library_path",
+                 "set_threads", "get_threads", "use_threads"):
+        assert getattr(native, name) is getattr(glue, name), name
+
+
+def test_ctypes_signatures_match_the_c_prototypes():
+    """Every ``EXPORT void repro_*`` prototype in ``csrc/kernels.c`` has a
+    ``glue._SIGS`` row equal to its parameter list (needs no toolchain)."""
+    import ctypes
+    import re
+    from pathlib import Path
+
+    from repro.native import glue
+
+    source = (Path(glue.__file__).parent / "csrc" / "kernels.c").read_text()
+    ctype = {"*": ctypes.c_void_p, "i64": ctypes.c_int64,
+             "u64": ctypes.c_uint64}
+    prototypes = {}
+    for symbol, params in re.findall(
+        r"EXPORT void (repro_\w+)\(([^)]*)\)", source
+    ):
+        args = []
+        for param in params.split(","):
+            decl = re.fullmatch(
+                r"\s*(?:const\s+)?(u64|i64)\s*(\*?)\s*\w+\s*", param
+            )
+            assert decl, (symbol, param)
+            args.append(ctype[decl[2] or decl[1]])
+        prototypes[symbol] = args
+    assert set(prototypes) == set(glue._SIGS)
+    for symbol, args in prototypes.items():
+        assert glue._SIGS[symbol] == args, symbol
+
+
+# -- ineligible inputs: the glue declines, the packed body answers ------------
+
+
+def _harvey(w, p):
+    """``w`` with its Harvey quotient ``w * 2**64 // p`` as hi/lo halves."""
+    wq = [(int(a) << 64) // int(b)
+          for a, b in zip(w.ravel(), np.broadcast_to(p, w.shape).ravel())]
+    hi = np.array([q >> 32 for q in wq], dtype=np.uint64).reshape(w.shape)
+    lo = np.array([q & 0xFFFFFFFF for q in wq], dtype=np.uint64)
+    return w, hi, lo.reshape(w.shape)
+
+
+def _ineligible_inputs(field):
+    """``(label, args, kwargs)`` inputs ``glue.KERNELS[field]`` declines."""
+    from repro.native import glue
+    from repro.ntt import get_stacked_tables
+
+    rng = np.random.default_rng(5)
+    primes = gen_ntt_primes([30, 28, 26, 24], 16)
+
+    def data(*shape):  # below every prime, so valid under each limb
+        return rng.integers(0, min(primes), shape, dtype=np.uint64)
+
+    if field in ("ntt_forward", "ntt_inverse"):
+        tables = get_stacked_tables(16, primes[:3])
+        return [("n' != degree", (data(3, 8), tables), {"lazy": False})]
+    if field == "ks_decompose":
+        inv = get_stacked_tables(16, primes[:2])
+        fwd = get_stacked_tables(16, primes)  # 4 rows, not level + 1 = 3
+        return [("len(fwd_tables) != level + 1", (data(2, 16), inv, fwd), {})]
+    spec = glue._ROW_KERNELS[field]
+    st = StackedModulus.from_values(primes[:3])
+    layouts = [
+        ("trailing=2", st.with_trailing(2), (3, 2, 8), (3, 1, 1)),
+        ("limb axis last", st.with_trailing(0), (8, 3), (3,)),
+    ]
+    if spec.operand:
+        layouts.append(("w of wrong size", st, (3, 8), (3, 8)))
+    cases = []
+    for label, stack, shape, w_shape in layouts:
+        arrays = [data(*shape) for _ in range(spec.inputs)]
+        cols = _harvey(data(*w_shape), stack.u64) if spec.operand else ()
+        cases.append((label, (*arrays, *cols, stack), {}))
+    return cases
+
+
+def _outcome(fn, args, kwargs):
+    """``fn``'s output, or the type of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.skipif(not HAVE_TOOLCHAIN, reason="no usable C toolchain")
+@pytest.mark.parametrize("field", [
+    pytest.param(field, marks=pytest.mark.skip(
+        reason="scaler_tail has no eligibility check: every call is native"))
+    if field == "scaler_tail" else field
+    for field in KernelTable._fields[1:]
+])
+def test_ineligible_inputs_fall_through_to_packed(field):
+    """The glue declines what it cannot run (``None``), and the native
+    table then answers exactly as the packed one: the same array, or the
+    same error.  A ``StackedModulus`` whose limb axis is not
+    second-to-last has ``trailing != 1``; that is the check it reaches."""
+    from repro.native import glue
+    from repro.native.tables import NATIVE, PACKED
+
+    for label, args, kwargs in _ineligible_inputs(field):
+        assert glue.KERNELS[field](*args, **kwargs) is None, label
+        want = _outcome(getattr(PACKED, field), args, kwargs)
+        got = _outcome(getattr(NATIVE, field), args, kwargs)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray), label
+            assert got.dtype == want.dtype, label
+            assert np.array_equal(got, want), label
+        else:
+            assert got is want, label
 
 
 @pytest.mark.skipif(not HAVE_TOOLCHAIN, reason="no usable C toolchain")
