@@ -19,7 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..ntt.tables import bit_reverse_vector
-from ..rns import RNSBase, compose_signed_poly
+from ..rns import RNSBase, compose_signed_float
 from .context import CkksContext
 from .plaintext import Plaintext
 
@@ -52,7 +52,7 @@ class CkksEncoder:
     def _fft_special(self, vals: np.ndarray) -> np.ndarray:
         """Forward transform: coefficients-embedding -> slot values."""
         n = len(vals)
-        v = vals[bit_reverse_vector(n)].copy()
+        v = vals[bit_reverse_vector(n)]
         length = 2
         while length <= n:
             lenh = length >> 1
@@ -130,8 +130,7 @@ class CkksEncoder:
         data = plaintext.data
         base = self.context.level_base(plaintext.level)
         coeff = self.context.from_ntt(data) if plaintext.is_ntt else data
-        signed = compose_signed_poly(coeff, base)
-        arr = np.array(signed, dtype=np.float64) / plaintext.scale
+        arr = compose_signed_float(coeff, base) / plaintext.scale
         gap = self.slots // slots
         nh = self.degree // 2
         emb = arr[0 : nh : gap] + 1j * arr[nh :: gap]

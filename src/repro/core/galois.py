@@ -88,14 +88,13 @@ def galois_permutation_ntt(degree: int, elt: int) -> np.ndarray:
     """
     if elt % 2 == 0 or not 0 < elt < 2 * degree:
         raise ValueError(f"galois element must be odd in (0, 2N), got {elt}")
-    logn = degree.bit_length() - 1
-    from ..ntt.tables import bit_reverse
+    from ..ntt.tables import bit_reverse_vector
 
+    rev = bit_reverse_vector(degree)
+    i = np.arange(degree, dtype=np.int64)
+    src = (elt * (2 * i + 1) % (2 * degree) - 1) // 2
     perm = np.empty(degree, dtype=np.int64)
-    for i in range(degree):
-        e = (elt * (2 * i + 1)) % (2 * degree)
-        src = (e - 1) // 2
-        perm[bit_reverse(i, logn)] = bit_reverse(src, logn)
+    perm[rev] = rev[src]
     perm.setflags(write=False)
     return perm
 

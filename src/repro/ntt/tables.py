@@ -44,10 +44,20 @@ def bit_reverse(x: int, bits: int) -> int:
     return r
 
 
+@lru_cache(maxsize=None)
 def bit_reverse_vector(n: int) -> np.ndarray:
-    """Permutation array ``perm[i] = bit_reverse(i, log2(n))``."""
+    """Permutation array ``perm[i] = bit_reverse(i, log2(n))``.
+
+    Built with ``log2(n)`` whole-array shift/or passes and memoized per
+    ``n``; the returned array is shared, so it is read-only.
+    """
     logn = n.bit_length() - 1
-    return np.array([bit_reverse(i, logn) for i in range(n)], dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    perm = np.zeros(n, dtype=np.int64)
+    for b in range(logn):
+        perm |= ((idx >> b) & 1) << (logn - 1 - b)
+    perm.setflags(write=False)
+    return perm
 
 
 def find_primitive_root(degree: int, modulus: Modulus) -> int:

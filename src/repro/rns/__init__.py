@@ -4,6 +4,7 @@ from .base import RNSBase
 from .baseconv import BaseConverter
 from .crt import (
     compose_poly,
+    compose_signed_float,
     compose_signed_poly,
     decompose_poly,
     decompose_signed_poly,
@@ -15,6 +16,7 @@ __all__ = [
     "BaseConverter",
     "LastModulusScaler",
     "compose_poly",
+    "compose_signed_float",
     "compose_signed_poly",
     "decompose_poly",
     "decompose_signed_poly",

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import native as repro_native
 from repro.core import CkksContext, CkksEncoder, CkksParameters, Plaintext
 from repro.core.galois import apply_galois_coeff, rotation_galois_elt
 from repro.modmath.ops import mul_mod
+from repro.ntt.tables import bit_reverse, bit_reverse_vector
 
 TOL = 1e-6
 
@@ -129,3 +131,45 @@ class TestHomomorphismProperties:
         perm = apply_galois_coeff(coeff, elt, ctx.level_base(pt.level))
         got = enc.decode(Plaintext(ctx.to_ntt(perm), pt.scale))
         assert np.abs(got - np.conj(z)).max() < TOL
+
+
+class TestFastDecode:
+    def test_backends_decode_bit_identically(self, ckks, rng):
+        """The certified CRT's stacked multiply runs on the active backend;
+        every backend decodes one ciphertext to the same float bits."""
+        z = rng.normal(size=ckks["encoder"].slots)
+        ct = ckks["encryptor"].encrypt(ckks["encoder"].encode(z))
+        names = ["packed", "serial"]
+        if repro_native.available():
+            names.append("native")
+        decoded = {}
+        for name in names:
+            with repro_native.use_backend(name):
+                pt = ckks["decryptor"].decrypt(ct)
+                decoded[name] = ckks["encoder"].decode(pt)
+        want = decoded["packed"].view(np.int64)
+        for name, got in decoded.items():
+            assert np.array_equal(got.view(np.int64), want), name
+        assert np.abs(decoded["packed"].real - z).max() < 1e-3
+
+    def test_decode_takes_no_fallback_on_fresh_ciphertexts(self, ckks, rng,
+                                                            monkeypatch):
+        import repro.rns.crt as crt
+
+        def fail(*args):
+            raise AssertionError("certified columns took the big-int path")
+
+        monkeypatch.setattr(crt, "compose_signed_poly", fail)
+        z = rng.normal(size=ckks["encoder"].slots)
+        ct = ckks["encryptor"].encrypt(ckks["encoder"].encode(z))
+        got = ckks["encoder"].decode(ckks["decryptor"].decrypt(ct))
+        assert np.abs(got.real - z).max() < 1e-3
+
+    def test_bit_reverse_vector(self):
+        for logn in range(1, 15):
+            n = 1 << logn
+            v = bit_reverse_vector(n)
+            assert v.tolist() == [bit_reverse(i, logn) for i in range(n)]
+            assert bit_reverse_vector(n) is v
+            with pytest.raises(ValueError):
+                v[0] = 1

@@ -6,9 +6,11 @@ import pytest
 from repro.core.galois import (
     apply_galois_coeff,
     apply_galois_ntt,
+    conjugation_galois_elt,
     galois_permutation_ntt,
     rotation_galois_elt,
 )
+from repro.ntt.tables import bit_reverse
 
 TOL = 1e-3
 
@@ -29,6 +31,22 @@ class TestGaloisNttDomain:
         )
         via_ntt = apply_galois_ntt(mat, elt)
         assert np.array_equal(via_ntt, via_coeff)
+
+    @pytest.mark.parametrize("n", [16, 4096, 16384])
+    def test_permutation_matches_scalar_loop(self, n):
+        """The vectorised table equals the per-coefficient definition for
+        the rotate steps the benchmark serves (1, 2) and conjugation."""
+        logn = n.bit_length() - 1
+        for elt in (rotation_galois_elt(1, n), rotation_galois_elt(2, n),
+                    conjugation_galois_elt(n)):
+            want = np.empty(n, dtype=np.int64)
+            for i in range(n):
+                src = ((elt * (2 * i + 1)) % (2 * n) - 1) // 2
+                want[bit_reverse(i, logn)] = bit_reverse(src, logn)
+            perm = galois_permutation_ntt(n, elt)
+            assert np.array_equal(perm, want)
+            assert perm is galois_permutation_ntt(n, elt)
+            assert not perm.flags.writeable
 
     def test_permutation_is_bijective(self, ckks):
         n = ckks["context"].degree

@@ -1,9 +1,12 @@
 """Unit tests for the RNS substrate: base, CRT, base conversion, scaling."""
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.modmath import gen_ntt_primes
 from repro.rns import (
@@ -11,6 +14,7 @@ from repro.rns import (
     LastModulusScaler,
     RNSBase,
     compose_poly,
+    compose_signed_float,
     compose_signed_poly,
     decompose_poly,
     decompose_signed_poly,
@@ -95,6 +99,99 @@ class TestPolyCRT:
     def test_compose_rejects_wrong_shape(self, base):
         with pytest.raises(ValueError):
             compose_poly(np.zeros((2, 8), dtype=np.uint64), base)
+
+
+@lru_cache(maxsize=None)
+def _float_base(bits: tuple, degree: int) -> RNSBase:
+    return RNSBase.from_values(gen_ntt_primes(list(bits), degree))
+
+
+def _edge_values(base):
+    """Centred values on both sides of every boundary the fast path checks."""
+    half = base.half_q()
+    return [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1,
+            half, half + 1, half - 1, -half, -half + 1]
+
+
+def _fast_vs_reference(mat, base):
+    """``compose_signed_float`` against the big-int reference, bit for bit."""
+    want = np.array(compose_signed_poly(mat, base), dtype=np.float64)
+    got = compose_signed_float(mat, base)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _mixed_matrix(base, degree, seed):
+    """Random full-range residues, small centred values and the edges."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 3, size=degree)
+    bits = rng.integers(0, 63, size=degree)
+    small = rng.integers(-(2**62), 2**62, size=degree) >> bits
+    cols = [
+        int(rng.integers(0, 2**62)) * int(rng.integers(0, 2**62))
+        if t == 0 else int(v) for t, v in zip(kind, small)
+    ]
+    edges = _edge_values(base)
+    cols[: len(edges)] = edges
+    return decompose_poly(cols, base)
+
+
+_BITS = st.sampled_from([30, 40, 50, 60])
+
+
+class TestComposeSignedFloat:
+    """The certified float CRT equals ``float(compose_signed_poly(...))``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.lists(_BITS, min_size=1, max_size=8),
+           logn=st.integers(4, 13), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, bits, logn, seed):
+        base = _float_base(tuple(bits), 1 << logn)
+        _fast_vs_reference(_mixed_matrix(base, 1 << logn, seed), base)
+
+    @settings(max_examples=3, deadline=None)
+    @given(levels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_at_16384(self, levels, seed):
+        base = _float_base((60,) + (40,) * (levels - 1), 16384)
+        _fast_vs_reference(_mixed_matrix(base, 16384, seed), base)
+
+    def test_one_prime_base_below_2_63(self):
+        base = _float_base((60,), 16)
+        assert base.product < 2**63
+        _fast_vs_reference(_mixed_matrix(base, 16, 5), base)
+
+    def test_two_prime_base_below_2_64_near_half_q(self):
+        """With ``q < 2**64`` the quotient guess near ``+-q/2`` is often
+        off by one; both range bounds must reject those candidates."""
+        base = _float_base((30, 30), 16)
+        half = base.half_q()
+        assert base.product < 2**64
+        cols = [half - d for d in range(256)] + [-half + d for d in range(256)]
+        _fast_vs_reference(decompose_poly(cols, base), base)
+
+    def test_fallback_only_on_uncertified_columns(self, monkeypatch):
+        import repro.rns.crt as crt
+
+        base = _float_base((50, 40, 40), 16)
+        cols = [3, -7, 2**63, 0, -(2**64), 12345]
+        calls = []
+
+        def spy(mat, b):
+            calls.append(mat.shape[1])
+            return compose_signed_poly(mat, b)
+
+        monkeypatch.setattr(crt, "compose_signed_poly", spy)
+        got = compose_signed_float(decompose_poly(cols, base), base)
+        assert calls == [2]
+        assert got.tolist() == [float(c) for c in cols]
+        calls.clear()
+        small = [c for c in cols if abs(c) < 2**63]
+        compose_signed_float(decompose_poly(small, base), base)
+        assert calls == []
+
+    def test_rejects_wrong_shape(self, base):
+        with pytest.raises(ValueError):
+            compose_signed_float(np.zeros((2, 8), dtype=np.uint64), base)
 
 
 class TestBaseConverter:
