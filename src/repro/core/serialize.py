@@ -1,18 +1,37 @@
 """Serialization for parameters, keys, plaintexts and ciphertexts.
 
-NumPy ``.npz``-based: portable, dependency-free, versioned.  Secret keys
-serialize too (with an explicit function name so the call site shows the
-security decision).  Contexts are *not* serialized — they are derived
-deterministically from parameters, so ``save_params``/``load_params``
-plus a fresh ``CkksContext`` reproduces everything.
+Ciphertexts, the per-request wire payload, are a raw blob: a fixed
+32-byte little-endian header followed by the contiguous uint64 limb
+block, the array exactly as it sits in memory:
+
+.. code-block:: text
+
+    b"RPCT" | u16 version | u16 flags (bit 0 = is_ntt) | u32 size
+            | u32 level | u32 degree | f64 scale | u32 crc32 | limbs
+
+``crc32`` is ``zlib.crc32`` over the 28 header bytes before it plus the
+limb bytes, so a flipped limb, scale or shape byte fails to load instead
+of decoding to a different ciphertext.  The header is validated before
+anything is allocated (:func:`ciphertext_from_buffer`).
+
+Every other kind is NumPy ``.npz``: portable, dependency-free, versioned
+through a JSON ``__meta__`` member.  Secret keys serialize too (with an
+explicit function name so the call site shows the security decision).
+Contexts are *not* serialized — they are derived deterministically from
+parameters, so ``save_params``/``load_params`` plus a fresh
+``CkksContext`` reproduces everything.  All kinds share
+:data:`FORMAT_VERSION`; any other version fails closed.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import struct
+import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Union
+from typing import BinaryIO, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +45,7 @@ __all__ = [
     "to_bytes", "from_bytes",
     "save_params", "load_params",
     "save_ciphertext", "load_ciphertext",
+    "ciphertext_parts", "ciphertext_from_buffer",
     "save_plaintext", "load_plaintext",
     "save_public_key", "load_public_key",
     "save_secret_key_insecure", "load_secret_key",
@@ -35,7 +55,7 @@ __all__ = [
     "TicketError", "StaleTicketError",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PathOrFile = Union[str, BinaryIO]
 
@@ -105,19 +125,99 @@ def load_plaintext(fp: PathOrFile) -> Plaintext:
     return Plaintext(data, meta["scale"], meta["is_ntt"])
 
 
+_CT_MAGIC = b"RPCT"
+#: magic, version, flags, size, level, degree, scale — the bytes the CRC
+#: covers ahead of the limbs; the u32 CRC follows.
+_CT_HEAD = struct.Struct("<4sHHIIId")
+_CT_CRC = struct.Struct("<I")
+_CT_HEADER_BYTES = _CT_HEAD.size + _CT_CRC.size
+_CT_MAX_SIZE = 8
+_CT_MAX_LEVEL = 64
+_CT_MAX_DEGREE = 1 << 17
+
+
+def _check_ct_shape(size: int, level: int, degree: int) -> None:
+    if not 2 <= size <= _CT_MAX_SIZE:
+        raise ValueError(f"ciphertext size {size} outside [2, {_CT_MAX_SIZE}]")
+    if not 1 <= level <= _CT_MAX_LEVEL:
+        raise ValueError(
+            f"ciphertext level {level} outside [1, {_CT_MAX_LEVEL}]")
+    if degree < 1 or degree & (degree - 1) or degree > _CT_MAX_DEGREE:
+        raise ValueError(
+            f"ciphertext degree {degree} is not a power of two "
+            f"<= {_CT_MAX_DEGREE}")
+
+
+def ciphertext_parts(ct: Ciphertext) -> Tuple[bytes, memoryview]:
+    """The raw blob of ``ct`` as ``(header bytes, limb memoryview)``.
+
+    The limb view aliases ``ct.data`` (no copy when it is already
+    C-contiguous little-endian), so a caller that concatenates the parts
+    into its own frame copies the limbs exactly once.
+    """
+    size, level, degree = ct.data.shape
+    _check_ct_shape(size, level, degree)
+    limbs = np.ascontiguousarray(ct.data, dtype="<u8").data.cast("B")
+    head = _CT_HEAD.pack(_CT_MAGIC, FORMAT_VERSION, int(bool(ct.is_ntt)),
+                         size, level, degree, float(ct.scale))
+    crc = zlib.crc32(limbs, zlib.crc32(head))
+    return head + _CT_CRC.pack(crc), limbs
+
+
+def ciphertext_from_buffer(buf) -> Ciphertext:
+    """Decode one raw ciphertext blob (bytes or any 1-D byte buffer).
+
+    Every header field is bounded and the CRC checked before the limb
+    array is allocated; any failure raises ``ValueError``.  The limbs
+    are copied out of ``buf`` into an owned, writable, aligned array, so
+    the decoded ciphertext never pins the (much larger) receive frame.
+    """
+    view = memoryview(buf).cast("B")
+    if len(view) < _CT_HEADER_BYTES:
+        raise ValueError(
+            f"truncated ciphertext blob: {len(view)} bytes, the header "
+            f"alone is {_CT_HEADER_BYTES}")
+    magic, version, flags, size, level, degree, scale = (
+        _CT_HEAD.unpack_from(view))
+    if magic != _CT_MAGIC:
+        raise ValueError(
+            f"bad ciphertext magic {magic!r} (expected {_CT_MAGIC!r}): not "
+            f"a format version {FORMAT_VERSION} ciphertext blob")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"format version {version} unsupported "
+            f"(expected {FORMAT_VERSION})")
+    if flags not in (0, 1):
+        raise ValueError(f"unknown ciphertext flags {flags:#x}")
+    _check_ct_shape(size, level, degree)
+    body = size * level * degree * 8
+    if len(view) - _CT_HEADER_BYTES != body:
+        raise ValueError(
+            f"ciphertext body is {len(view) - _CT_HEADER_BYTES} bytes, a "
+            f"({size}, {level}, {degree}) uint64 block is {body}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"ciphertext scale {scale!r} is not finite and > 0")
+    (crc,) = _CT_CRC.unpack_from(view, _CT_HEAD.size)
+    limbs = view[_CT_HEADER_BYTES:]
+    if zlib.crc32(limbs, zlib.crc32(view[:_CT_HEAD.size])) != crc:
+        raise ValueError("ciphertext blob fails its CRC-32 check")
+    data = np.frombuffer(limbs, dtype="<u8").copy()
+    return Ciphertext(data.reshape(size, level, degree), scale, bool(flags))
+
+
 def save_ciphertext(ct: Ciphertext, fp: PathOrFile) -> None:
-    np.savez(
-        fp,
-        __meta__=_meta("ciphertext", scale=ct.scale, is_ntt=ct.is_ntt),
-        data=ct.data,
-    )
+    if isinstance(fp, str):
+        with open(fp, "wb") as f:
+            f.writelines(ciphertext_parts(ct))
+    else:
+        fp.writelines(ciphertext_parts(ct))
 
 
 def load_ciphertext(fp: PathOrFile) -> Ciphertext:
-    with np.load(fp) as npz:
-        meta = _read_meta(npz, "ciphertext")
-        data = npz["data"]
-    return Ciphertext(data, meta["scale"], meta["is_ntt"])
+    if isinstance(fp, str):
+        with open(fp, "rb") as f:
+            return ciphertext_from_buffer(f.read())
+    return ciphertext_from_buffer(fp.read())
 
 
 # --- keys --------------------------------------------------------------------------
@@ -239,8 +339,6 @@ def load_session_ticket(fp: PathOrFile) -> SessionTicket:
     server-side keyspace separator), a finite non-negative issue
     instant.  A ticket is client-presented input, so it fails closed.
     """
-    import math
-
     try:
         with np.load(fp) as npz:
             meta = _read_meta(npz, "session_ticket")

@@ -741,7 +741,8 @@ class HEServer:
 
     Composition (paper mapping):
 
-    * request wire format — ``core.serialize`` blobs (Fig. 1 upload);
+    * request wire format — ``core.serialize`` raw ciphertext blobs, a
+      CRC-checked header plus the limb block (Fig. 1 upload);
     * :class:`RequestBatcher` — latency/size batching budget, priority
       front-running, deadline-aware batch cuts;
     * :class:`~.sessions.SessionManager` — multi-client sessions with

@@ -506,7 +506,15 @@ class NetClient:
 
     def _send(self, payload: bytes) -> None:
         assert self.sock is not None, "connect() first"
-        self.sock.sendall(_LEN.pack(len(payload)) + payload)
+        # Scatter-gather send: prefixing by concatenation would copy the
+        # whole frame once more.
+        prefix = _LEN.pack(len(payload))
+        sent = self.sock.sendmsg([prefix, payload])
+        if sent < len(prefix):
+            self.sock.sendall(prefix[sent:])
+            sent = len(prefix)
+        if sent < len(prefix) + len(payload):
+            self.sock.sendall(memoryview(payload)[sent - len(prefix):])
 
     def _read_exactly(self, n: int) -> bytes:
         assert self.sock is not None, "connect() first"

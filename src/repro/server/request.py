@@ -1,7 +1,7 @@
 """Wire format for batched HE serving requests and responses.
 
-A request frames one HE operation over serialized ciphertexts (the
-``core.serialize`` ``.npz`` blobs) with a JSON header:
+A request frames one HE operation over raw ciphertext blobs with a JSON
+header:
 
 .. code-block:: text
 
@@ -10,15 +10,19 @@ A request frames one HE operation over serialized ciphertexts (the
 The header carries the request id, the operation name and its metadata
 (rotation steps, the server-side weight-artifact name, ...), the serving
 QoS fields (``priority``, optional ``deadline_ms``) and the session
-``client`` id; each blob is one ``save_ciphertext`` payload.  Responses
-use the same framing with magic ``RPRS``, a typed status/timing header
-and at most one result blob.  Session handshakes use magics ``RPRH``
-(hello: client id + optional evaluation-key blobs + optional resume
+``client`` id.  Each blob is one ``core.serialize`` raw ciphertext: a
+32-byte CRC-checked header (shape, scale, NTT flag, format version)
+followed by the contiguous uint64 limb block.  Encoding hands the
+header and a view of the limbs straight to the frame join, so the limbs
+are copied once; decoding slices the frame without copying and copies
+each limb block once, into an array the ciphertext owns.  Responses use
+the same framing with magic ``RPRS``, a typed status/timing header and
+at most one result blob.  Session handshakes use magics ``RPRH`` (hello:
+client id + optional ``.npz`` evaluation-key blobs + optional resume
 ticket) and ``RPRA`` (ack: session id + a ``core.serialize`` session
-ticket).  Every serving frame
-header carries the serialization ``FORMAT_VERSION`` and decoding fails
-closed on any other version, as do the underlying ``core.serialize``
-blobs.
+ticket).  Every serving frame header carries the serialization
+``FORMAT_VERSION`` and decoding fails closed on any other version, as
+do the blobs inside it.
 """
 
 from __future__ import annotations
@@ -26,16 +30,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .. import faults as _faults
 from ..core.ciphertext import Ciphertext
 from ..core.serialize import (
     FORMAT_VERSION,
-    from_bytes,
-    load_ciphertext,
-    save_ciphertext,
-    to_bytes,
+    ciphertext_from_buffer,
+    ciphertext_parts,
 )
 
 __all__ = [
@@ -265,12 +267,13 @@ class SessionAck:
     ticket_wire: Optional[bytes] = None
 
 
-def _frame(magic: bytes, header: dict, blobs: List[bytes]) -> bytes:
+def _frame(magic: bytes, header: dict, blobs: List[Sequence]) -> bytes:
+    """Join one frame; each blob is given as its byte-buffer parts."""
     head = json.dumps(header, sort_keys=True).encode()
     out = [magic, struct.pack("<I", len(head)), head]
-    for blob in blobs:
-        out.append(struct.pack("<Q", len(blob)))
-        out.append(blob)
+    for parts in blobs:
+        out.append(struct.pack("<Q", sum(len(p) for p in parts)))
+        out.extend(parts)
     return b"".join(out)
 
 
@@ -293,6 +296,8 @@ def _inject_wire_fault(data: bytes, event) -> bytes:
 
 
 def _unframe(magic: bytes, data: bytes) -> tuple:
+    """Parse one frame into ``(header, blobs)``; blobs are memoryview
+    slices of ``data``, so nothing past the JSON header is copied."""
     event = _faults.check(_FP_DECODE)
     if event is not None:
         data = _inject_wire_fault(bytes(data), event)
@@ -300,7 +305,7 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         raise FrameError(
             f"serving frame must be bytes, got {type(data).__name__}"
         )
-    data = bytes(data)
+    data = memoryview(data).cast("B")
     if len(data) > MAX_FRAME_BYTES:
         raise FrameError(
             f"oversized serving frame: {len(data)} bytes "
@@ -312,7 +317,8 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         )
     if data[:4] != magic:
         raise FrameError(
-            f"bad magic {data[:4]!r} (expected {magic!r}): not a serving frame"
+            f"bad magic {bytes(data[:4])!r} (expected {magic!r}): "
+            f"not a serving frame"
         )
     (head_len,) = struct.unpack_from("<I", data, 4)
     if head_len > MAX_HEADER_BYTES or 8 + head_len > len(data):
@@ -322,7 +328,7 @@ def _unframe(magic: bytes, data: bytes) -> tuple:
         )
     off = 8
     try:
-        header = json.loads(data[off:off + head_len].decode())
+        header = json.loads(bytes(data[off:off + head_len]).decode())
     except (UnicodeDecodeError, ValueError) as exc:
         raise FrameError(f"undecodable frame header: {exc}") from None
     if not isinstance(header, dict):
@@ -376,7 +382,7 @@ def encode_request(req: ServeRequest) -> bytes:
         "client": req.client_id,
     }
     return _frame(REQUEST_MAGIC, header,
-                  [to_bytes(save_ciphertext, ct) for ct in req.cts])
+                  [ciphertext_parts(ct) for ct in req.cts])
 
 
 def decode_request(data: bytes) -> ServeRequest:
@@ -388,12 +394,12 @@ def decode_request(data: bytes) -> ServeRequest:
         )
     cts = []
     for blob in blobs:
-        # The blob serializer has its own integrity checks (npz CRCs,
-        # format/kind metadata); whatever it raises on a mutated blob is
-        # still a decode failure of *this frame*.
+        # The blob carries its own integrity checks (CRC-32, format
+        # version, shape bounds); a blob that fails them is a decode
+        # failure of *this frame*.
         try:
-            cts.append(from_bytes(load_ciphertext, blob))
-        except Exception as exc:
+            cts.append(ciphertext_from_buffer(blob))
+        except ValueError as exc:
             raise FrameError(f"corrupt ciphertext blob: {exc}") from exc
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
@@ -431,7 +437,7 @@ def encode_response(resp: ServeResponse) -> bytes:
     }
     blobs = []
     if resp.result is not None:
-        blobs.append(to_bytes(save_ciphertext, resp.result))
+        blobs.append(ciphertext_parts(resp.result))
     return _frame(RESPONSE_MAGIC, header, blobs)
 
 
@@ -442,9 +448,9 @@ def decode_response(data: bytes) -> ServeResponse:
         raise FrameError("response frame header lacks a boolean 'ok'")
     if blobs:
         try:
-            result = from_bytes(load_ciphertext, blobs[0])
-        except Exception as exc:
-            raise FrameError(f"corrupt result blob: {exc}") from exc
+            result = ciphertext_from_buffer(blobs[0])
+        except ValueError as exc:
+            raise FrameError(f"corrupt ciphertext blob: {exc}") from exc
     else:
         result = None
     return ServeResponse(
@@ -476,7 +482,7 @@ def encode_session_hello(hello: SessionHello) -> bytes:
         keys.append("ticket")
         blobs.append(hello.ticket_wire)
     header = {"v": FORMAT_VERSION, "client": hello.client_id, "keys": keys}
-    return _frame(HELLO_MAGIC, header, blobs)
+    return _frame(HELLO_MAGIC, header, [(blob,) for blob in blobs])
 
 
 def decode_session_hello(data: bytes) -> SessionHello:
@@ -488,7 +494,7 @@ def decode_session_hello(data: bytes) -> SessionHello:
         raise FrameError(
             f"hello promises {len(keys)} key blobs, frame carries {len(blobs)}"
         )
-    by_kind = dict(zip(keys, blobs))
+    by_kind = dict(zip(keys, map(bytes, blobs)))
     return SessionHello(
         client_id=_header_str(header, "client"),
         relin_wire=by_kind.get("relin"),
@@ -505,7 +511,7 @@ def encode_session_ack(ack: SessionAck) -> bytes:
         "session_id": ack.session_id,
         "error": ack.error,
     }
-    blobs = [ack.ticket_wire] if ack.ticket_wire is not None else []
+    blobs = [(ack.ticket_wire,)] if ack.ticket_wire is not None else []
     return _frame(ACK_MAGIC, header, blobs)
 
 
@@ -519,5 +525,5 @@ def decode_session_ack(data: bytes) -> SessionAck:
         ok=ok,
         session_id=header.get("session_id", ""),
         error=header.get("error", ""),
-        ticket_wire=blobs[0] if blobs else None,
+        ticket_wire=bytes(blobs[0]) if blobs else None,
     )

@@ -9,6 +9,8 @@ loader.
 
 import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from repro.core.plaintext import Plaintext
 from repro.core import serialize
 from repro.core.serialize import (
     FORMAT_VERSION,
+    ciphertext_from_buffer,
+    ciphertext_parts,
     from_bytes,
     load_ciphertext,
     load_galois_keys,
@@ -91,6 +95,83 @@ class TestCiphertextPlaintextProperties:
         assert np.array_equal(back.data, pt.data)
         assert back.scale == pt.scale
         assert back.is_ntt == pt.is_ntt
+
+
+def raw_blob(size=2, level=2, degree=8, *, flags=1, scale=2.0**40,
+             body=None, version=None):
+    """A raw ciphertext blob written from the documented layout, with a
+    valid CRC over whatever fields it is given."""
+    if body is None:
+        body = bytes(size * level * degree * 8)
+    head = struct.pack("<4sHHIIId", b"RPCT",
+                       FORMAT_VERSION if version is None else version,
+                       flags, size, level, degree, scale)
+    return head + struct.pack("<I", zlib.crc32(body, zlib.crc32(head))) + body
+
+
+class TestRawCiphertextBlob:
+    @settings(max_examples=40, **COMMON)
+    @given(
+        size=st.integers(2, 3),
+        level=st.integers(1, 8),
+        log_degree=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.one_of(
+            st.sampled_from([2.0**30, 2.0**60]),
+            st.floats(min_value=0.0, exclude_min=True,
+                      allow_nan=False, allow_infinity=False)),
+        is_ntt=st.booleans(),
+    )
+    def test_roundtrip(self, size, level, log_degree, seed, scale, is_ntt):
+        shape = (size, level, 1 << log_degree)
+        data = np.random.default_rng(seed).integers(
+            0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+        data.flat[0], data.flat[-1] = 0, 2**64 - 1
+        ct = Ciphertext(data, scale, is_ntt)
+        head, limbs = ciphertext_parts(ct)
+        assert len(head) == 32 and head[:4] == b"RPCT"
+        for back in (ciphertext_from_buffer(head + limbs),
+                     roundtrip_bytes(ct, save_ciphertext, load_ciphertext)):
+            assert back.data.shape == shape
+            assert np.array_equal(back.data, data)
+            assert back.scale == scale and back.is_ntt == is_ntt
+
+    def test_layout_matches_the_documented_header(self):
+        body = np.arange(2 * 3 * 16, dtype="<u8").tobytes()
+        ct = ciphertext_from_buffer(raw_blob(2, 3, 16, flags=0, scale=0.5,
+                                             body=body))
+        assert ct.data.shape == (2, 3, 16) and ct.data[1, 2, 15] == 95
+        assert ct.scale == 0.5 and ct.is_ntt is False
+
+    @pytest.mark.parametrize("blob,match", [
+        (raw_blob(size=1), "size"),
+        (raw_blob(size=9), "size"),
+        (raw_blob(level=0), "level"),
+        (raw_blob(degree=12), "degree"),
+        (raw_blob(degree=0), "degree"),
+        (raw_blob(degree=1 << 18, body=b""), "degree"),
+        (raw_blob(body=bytes(2 * 2 * 8 * 8 - 8)), "body"),
+        (raw_blob(body=bytes(2 * 2 * 8 * 8 + 8)), "body"),
+        (raw_blob(scale=float("nan")), "scale"),
+        (raw_blob(scale=float("inf")), "scale"),
+        (raw_blob(scale=0.0), "scale"),
+        (raw_blob(scale=-2.0**40), "scale"),
+        (raw_blob(flags=2), "flags"),
+        (raw_blob(version=1), "version"),
+        (raw_blob()[:31], "truncated"),
+        (b"PK\x03\x04" + raw_blob()[4:], "magic"),
+    ], ids=["size1", "size9", "level0", "degree12", "degree0", "degree2^18",
+            "len-8", "len+8", "nan", "inf", "scale0", "scale<0", "flags2",
+            "v1", "short", "magic"])
+    def test_header_bounds_rejected(self, blob, match):
+        with pytest.raises(ValueError, match=match):
+            ciphertext_from_buffer(blob)
+
+    def test_crc_mismatch_rejected(self):
+        blob = bytearray(raw_blob())
+        blob[-1] ^= 1
+        with pytest.raises(ValueError, match="CRC"):
+            ciphertext_from_buffer(bytes(blob))
 
 
 class TestParamsProperties:

@@ -362,3 +362,39 @@ class TestNetFrameFaults:
             stats = bg.stats()
             bg.stop()
         assert stats["dropped_connections"] == 1
+
+
+class TestClientSend:
+    def test_large_frame_arrives_byte_exact(self):
+        """A frame far larger than the (shrunk) socket buffers leaves the
+        first ``sendmsg`` partial; the peer still reads the length
+        prefix and every payload byte in order."""
+        payload = np.random.default_rng(5).integers(
+            0, 256, size=3 * 1024 * 1024, dtype=np.uint8).tobytes()
+        got = bytearray()
+
+        def read_all(conn):
+            want = 4 + len(payload)
+            while len(got) < want:
+                chunk = conn.recv(want - len(got))
+                if not chunk:
+                    break
+                got.extend(chunk)
+
+        with socket.socket() as listener:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            cli = NetClient("127.0.0.1", listener.getsockname()[1],
+                            timeout_s=10.0).connect()
+            cli.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+            conn, _ = listener.accept()
+            with conn, cli:
+                conn.settimeout(10.0)
+                reader = threading.Thread(target=read_all, args=(conn,))
+                reader.start()
+                cli.submit_frame(payload)
+                reader.join(timeout=10.0)
+                assert not reader.is_alive()
+        assert bytes(got[:4]) == len(payload).to_bytes(4, "little")
+        assert bytes(got[4:]) == payload
