@@ -14,9 +14,7 @@ whose implementation is the process-wide backend's kernel table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from ..modmath.barrett import barrett_reduce_64
 from ..modmath.ops import sub_mod
 from ..native import backend as _backend
 from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
-from ..ntt.tables import NTTTables, StackedNTTTables, get_stacked_tables, get_tables
+from ..ntt.tables import StackedNTTTables, get_stacked_tables
 from ..rns import RNSBase
 from .params import CkksParameters
 
@@ -41,10 +39,6 @@ class CkksContext:
         self.key_base: RNSBase = params.key_base()
         self.ct_base: RNSBase = params.ciphertext_base()
         self.special: Modulus = self.key_base[len(self.key_base) - 1]
-        #: NTT tables indexed like key_base (ciphertext primes first).
-        self.tables: List[NTTTables] = [
-            get_tables(self.degree, m) for m in self.key_base
-        ]
         #: Stacked twiddle tables over the full key base; level prefixes
         #: and row subsets are cheap memoized views/lookups.
         self.stacked_tables: StackedNTTTables = get_stacked_tables(
@@ -101,45 +95,39 @@ class CkksContext:
             self._stacked_tables_cache[rows] = cached
         return cached
 
-    def signed_to_rows(self, signed_coeffs: np.ndarray, level: int) -> np.ndarray:
-        """Signed int64 coefficients to per-prime residue rows in one pass.
+    def signed_to_ntt(self, signed_coeffs: np.ndarray, rows: int) -> np.ndarray:
+        """Signed int64 coefficients to NTT-form residues of the first ``rows``.
 
-        The shared broadcast used by the encoder and encryptor: reduce
-        a ``(N,)`` signed vector against the first ``level`` primes as a
-        single ``(level, N)`` modulo.
+        The one signed-to-NTT path of the encoder, encryptor and key
+        generator: reduce a ``(N,)`` signed vector against the first
+        ``rows`` key-base primes as a single ``(rows, N)`` modulo, then
+        run one stacked forward NTT.  ``rows`` may be the full key base.
         """
-        p_col = self._signed_col_cache.get(level)
+        p_col = self._signed_col_cache.get(rows)
         if p_col is None:
             p_col = np.array(
-                [self.modulus(i).value for i in range(level)], dtype=np.int64
+                [self.modulus(i).value for i in range(rows)], dtype=np.int64
             )[:, None]
             p_col.setflags(write=False)
-            self._signed_col_cache[level] = p_col
-        return (signed_coeffs[None, :] % p_col).astype(np.uint64)
+            self._signed_col_cache[rows] = p_col
+        reduced = (signed_coeffs[None, :] % p_col).astype(np.uint64)
+        return ntt_forward_stacked(reduced, self.stacked_tables.prefix(rows))
 
     # -- domain transforms -------------------------------------------------------
 
-    def to_ntt(self, matrix: np.ndarray, *, rows: int | None = None,
-               special_last: bool = False) -> np.ndarray:
+    def to_ntt(self, matrix: np.ndarray) -> np.ndarray:
         """Forward-NTT each row of an RNS matrix (rows = level count)."""
-        return self._transform(matrix, forward=True, special_last=special_last)
-
-    def from_ntt(self, matrix: np.ndarray, *,
-                 special_last: bool = False) -> np.ndarray:
-        """Inverse-NTT each row back to coefficient form."""
-        return self._transform(matrix, forward=False, special_last=special_last)
-
-    def _transform(self, matrix: np.ndarray, *, forward: bool,
-                   special_last: bool) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.uint64)
-        k = matrix.shape[-2]
-        if special_last:
-            rows = tuple(range(k - 1)) + (len(self.key_base) - 1,)
-            st = self.stacked_tables_rows(rows)
-        else:
-            st = self.stacked_tables.prefix(k)
-        fn = ntt_forward_stacked if forward else ntt_inverse_stacked
-        return fn(matrix, st)
+        return ntt_forward_stacked(
+            matrix, self.stacked_tables.prefix(matrix.shape[-2])
+        )
+
+    def from_ntt(self, matrix: np.ndarray) -> np.ndarray:
+        """Inverse-NTT each row back to coefficient form."""
+        matrix = np.asarray(matrix, dtype=np.uint64)
+        return ntt_inverse_stacked(
+            matrix, self.stacked_tables.prefix(matrix.shape[-2])
+        )
 
     # -- divide-and-round in NTT domain --------------------------------------------
 
@@ -228,10 +216,3 @@ class CkksContext:
         if matrix.shape[-2] != level:
             raise ValueError("matrix does not match level")
         return self.divide_round_drop_ntt(matrix, level - 1)
-
-    # -- lazy caches ------------------------------------------------------------------
-
-    @lru_cache(maxsize=64)
-    def p_mod_qi(self, i: int) -> int:
-        """Special prime reduced modulo ``q_i`` (key generation)."""
-        return self.special.value % self.key_base[i].value

@@ -118,8 +118,7 @@ class CkksEncoder:
         limit = float(self.context.level_base(level).product)
         if np.abs(scaled).max() * 2 >= limit:
             raise ValueError("encoded value too large for the modulus chain")
-        rows = self._reduce_rows(scaled.astype(np.int64), level)
-        data = self.context.to_ntt(rows)
+        data = self.context.signed_to_ntt(scaled.astype(np.int64), level)
         return Plaintext(data, scale, is_ntt=True)
 
     def decode(self, plaintext: Plaintext, *, slots: int | None = None) -> np.ndarray:
@@ -147,7 +146,3 @@ class CkksEncoder:
         if len(vals) == 1:
             return vals.copy()
         return self._fft_special_inv(np.asarray(vals, dtype=np.complex128))
-
-    def _reduce_rows(self, signed_coeffs: np.ndarray, level: int) -> np.ndarray:
-        """Signed coefficients to per-prime residues, all limbs at once."""
-        return self.context.signed_to_rows(signed_coeffs, level)

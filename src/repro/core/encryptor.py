@@ -7,10 +7,8 @@ from typing import Optional
 import numpy as np
 
 from ..modmath.ops import add_mod, mul_mod
-from ..ntt.radix2 import ntt_forward_stacked
 from .ciphertext import Ciphertext
 from .context import CkksContext
-from .keygen import KeyGenerator
 from .keys import PublicKey
 from .plaintext import Plaintext
 
@@ -33,12 +31,6 @@ class Encryptor:
         self.pk = public_key
         self.rng = np.random.default_rng(seed)
 
-    def _sample_signed_ntt(self, level: int, values: np.ndarray) -> np.ndarray:
-        reduced = self.context.signed_to_rows(values, level)
-        return ntt_forward_stacked(
-            reduced, self.context.stacked_tables.prefix(level)
-        )
-
     def encrypt_zero(self, level: Optional[int] = None,
                      scale: Optional[float] = None) -> Ciphertext:
         """Encryption of zero at the requested level (paper Encrypt)."""
@@ -48,11 +40,12 @@ class Encryptor:
         u = self.rng.integers(-1, 2, size=n, dtype=np.int64)
         e0 = np.round(self.rng.normal(0, 3.2, size=n)).astype(np.int64)
         e1 = np.round(self.rng.normal(0, 3.2, size=n)).astype(np.int64)
-        u_ntt = self._sample_signed_ntt(level, u)
-        e0_ntt = self._sample_signed_ntt(level, e0)
-        e1_ntt = self._sample_signed_ntt(level, e1)
+        ctx = self.context
+        u_ntt = ctx.signed_to_ntt(u, level)
+        e0_ntt = ctx.signed_to_ntt(e0, level)
+        e1_ntt = ctx.signed_to_ntt(e1, level)
 
-        st = self.context.stacked_modulus(level)
+        st = ctx.stacked_modulus(level)
         c0 = add_mod(mul_mod(self.pk.b[:level], u_ntt, st), e0_ntt, st)
         c1 = add_mod(mul_mod(self.pk.a[:level], u_ntt, st), e1_ntt, st)
         return Ciphertext(np.stack([c0, c1]), scale, is_ntt=True)

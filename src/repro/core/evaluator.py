@@ -9,7 +9,10 @@ All operations act on double-CRT (RNS + NTT) ciphertexts:
 * ``rescale`` — drop ``q_{l-1}`` and divide-and-round (keeps the scale
   stable after Mul);
 * ``mod_switch_to_next`` — drop a prime without scaling;
-* ``rotate``/``conjugate`` — Galois automorphism + key switch.
+* ``rotate``/``conjugate`` — Galois automorphism + key switch; the
+  automorphism is an index permutation of the NTT-form components
+  (:func:`~repro.core.galois.apply_galois_ntt`), the same mechanism
+  key generation and ``rotate_hoisted`` use.
 
 The evaluator is written once against the stacked kernel entry points:
 every dyadic op is a handful of whole-tensor calls over the full
@@ -32,10 +35,9 @@ import numpy as np
 
 from ..modmath.ops import add_mod, mad_mod, mul_mod, neg_mod, sub_mod
 from ..native import backend as _backend
-from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from .ciphertext import Ciphertext
 from .context import CkksContext
-from .galois import apply_galois_coeff, conjugation_galois_elt, rotation_galois_elt
+from .galois import apply_galois_ntt, conjugation_galois_elt, rotation_galois_elt
 from .keys import GaloisKeys, KSwitchKey, RelinKey
 from .plaintext import Plaintext
 
@@ -323,13 +325,8 @@ class Evaluator:
 
     def _apply_galois(self, ct: Ciphertext, elt: int,
                       ksk: KSwitchKey) -> Ciphertext:
-        ctx = self.context
         level = ct.level
-        base = ctx.level_base(level)
-        tables = ctx.stacked_tables.prefix(level)
-        coeff = ntt_inverse_stacked(ct.data[:2], tables)
-        perm = apply_galois_coeff(coeff, elt, base)
-        rotated = ntt_forward_stacked(perm, tables)
+        rotated = apply_galois_ntt(ct.data[:2], elt)
         d0, d1 = self._switch_key(rotated[1], level, ksk)
         out = np.empty((2, level, ct.degree), dtype=np.uint64)
         out[0] = add_mod(rotated[0], d0, self._stacked(level))
@@ -362,9 +359,12 @@ class Evaluator:
         permutation (:func:`~repro.core.galois.galois_permutation_ntt`).
 
         Returns the rotated ciphertexts in the order of ``steps_list``.
+        They decrypt like :meth:`rotate`'s but are not bit-identical to
+        them: here each digit is permuted *after* its reduction, so a
+        sign-flipped coefficient ``-a`` of source prime ``q_i`` lands in
+        target row ``r`` as ``q_r - (a mod q_r)``, where :meth:`rotate`
+        reduces the already-negated ``(q_i - a) mod q_r``.
         """
-        from .galois import apply_galois_ntt
-
         if ct.size != 2:
             raise ValueError("rotate expects a size-2 ciphertext")
         if not steps_list:

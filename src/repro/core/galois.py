@@ -5,6 +5,12 @@ with the encoder's ``5^i`` orbit, ``g = 5^r mod 2N`` rotates the slot
 vector left by ``r`` and ``g = 2N - 1`` conjugates every slot.  On
 coefficients the map sends ``a_j`` to position ``j*g mod 2N``, negating
 when the landing spot wraps past ``x^N`` (since ``x^N = -1``).
+
+Every product caller — key generation, ``Evaluator.rotate``/``conjugate``
+and hoisted rotations — applies the map in NTT form, where it is a pure
+index permutation (:func:`apply_galois_ntt`).  The coefficient-domain
+map (:func:`galois_permutation`, :func:`apply_galois_coeff`) stays as
+the definition the tests check the NTT-form permutation against.
 """
 
 from __future__ import annotations

@@ -8,17 +8,26 @@ The key-switching keys use the per-RNS-prime decomposition with a single
 special prime ``P`` (Sec. II of this repo's DESIGN.md): component ``i``
 of a key encrypts ``P * target`` in RNS slot ``i`` only, which makes the
 switch work at every ciphertext level with no big-integer arithmetic.
+
+Like the encoder, encryptor and evaluator, key generation is written
+against the stacked kernel entry points: signed samples reach NTT form
+through :meth:`CkksContext.signed_to_ntt`, key arithmetic runs as
+whole-stack modular kernels, and Galois keys permute the NTT-form
+secret directly.  The only ordering constraint is the seeded draws —
+the secret first, then per key ``a`` before ``e`` — so a seed gives the
+same keys under every backend and in either call order of
+``secret_key``/``public_key``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..modmath.ops import add_mod, mul_mod, neg_mod
 from .context import CkksContext
-from .galois import apply_galois_coeff, conjugation_galois_elt, rotation_galois_elt
+from .galois import apply_galois_ntt, conjugation_galois_elt, rotation_galois_elt
 from .keys import GaloisKeys, KSwitchKey, PublicKey, RelinKey, SecretKey
 
 __all__ = ["KeyGenerator", "ERROR_STDDEV"]
@@ -44,24 +53,26 @@ class KeyGenerator:
         e = self.rng.normal(0.0, ERROR_STDDEV, size=self.context.degree)
         return np.round(e).astype(np.int64)
 
-    def _sample_uniform_ntt(self, rows: Sequence[int]) -> np.ndarray:
-        """Uniform polynomial over the given key-base row indices (NTT form)."""
-        out = np.empty((len(rows), self.context.degree), dtype=np.uint64)
-        for r, idx in enumerate(rows):
-            p = self.context.modulus(idx).value
+    def _sample_uniform_ntt(self, rows: int) -> np.ndarray:
+        """Uniform polynomial over the first ``rows`` key-base primes (NTT form)."""
+        out = np.empty((rows, self.context.degree), dtype=np.uint64)
+        for r in range(rows):
+            p = self.context.modulus(r).value
             out[r] = self.rng.integers(0, p, size=self.context.degree, dtype=np.uint64)
         return out
 
-    def _signed_to_ntt(self, coeffs: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        """Reduce signed coefficients per modulus and forward-NTT each row."""
-        from ..ntt.radix2 import ntt_forward
+    def _encrypt_zero(self, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(b, a)`` with ``b = -(a s + e)`` over the first ``rows``.
 
-        out = np.empty((len(rows), self.context.degree), dtype=np.uint64)
-        for r, idx in enumerate(rows):
-            m = self.context.modulus(idx)
-            reduced = (coeffs % np.int64(m.value)).astype(np.uint64)
-            out[r] = ntt_forward(reduced, self.context.tables[idx])
-        return out
+        Draws the secret (if not yet drawn), then ``a``, then ``e``.
+        """
+        ctx = self.context
+        sk = self.secret_key()
+        a = self._sample_uniform_ntt(rows)
+        e = ctx.signed_to_ntt(self._sample_error(), rows)
+        st = ctx.stacked_modulus(rows)
+        b = neg_mod(add_mod(mul_mod(a, sk.ntt_rows[:rows], st), e, st), st)
+        return b, a
 
     # -- keys ---------------------------------------------------------------------
 
@@ -69,56 +80,41 @@ class KeyGenerator:
         """Sample (once) and return the ternary secret key."""
         if self._secret is None:
             coeffs = self._sample_ternary()
-            rows = list(range(len(self.context.key_base)))
             self._secret = SecretKey(
-                ntt_rows=self._signed_to_ntt(coeffs, rows),
+                ntt_rows=self.context.signed_to_ntt(
+                    coeffs, len(self.context.key_base)
+                ),
                 signed_coeffs=coeffs,
             )
         return self._secret
 
     def public_key(self) -> PublicKey:
         """``(b, a)`` with ``b = -(a s + e)`` over the ciphertext base."""
-        sk = self.secret_key()
-        levels = self.context.max_level
-        rows = list(range(levels))
-        a = self._sample_uniform_ntt(rows)
-        e = self._signed_to_ntt(self._sample_error(), rows)
-        b = np.empty_like(a)
-        for i in rows:
-            m = self.context.modulus(i)
-            As = mul_mod(a[i], sk.ntt_rows[i], m)
-            b[i] = neg_mod(add_mod(As, e[i], m), m)
-        return PublicKey(data=np.stack([b, a]))
+        return PublicKey(data=np.stack(self._encrypt_zero(self.context.max_level)))
 
     def _switching_key(self, target_ntt: np.ndarray) -> KSwitchKey:
         """Key-switching key hiding ``P * target`` (target in NTT form, full base)."""
-        sk = self.secret_key()
-        n_keys = self.context.max_level  # decomposition over ciphertext primes
-        all_rows = list(range(len(self.context.key_base)))
+        ctx = self.context
+        n_keys = ctx.max_level  # decomposition over ciphertext primes
+        st = ctx.stacked_modulus(n_keys)
+        p_col = np.array(
+            [[ctx.special.value % ctx.modulus(i).value] for i in range(n_keys)],
+            dtype=np.uint64,
+        )
+        p_target = mul_mod(target_ntt[:n_keys], p_col, st)
         out = KSwitchKey()
         for i in range(n_keys):
-            a = self._sample_uniform_ntt(all_rows)
-            e = self._signed_to_ntt(self._sample_error(), all_rows)
-            b = np.empty_like(a)
-            for j in all_rows:
-                m = self.context.modulus(j)
-                As = mul_mod(a[j], sk.ntt_rows[j], m)
-                b[j] = neg_mod(add_mod(As, e[j], m), m)
+            b, a = self._encrypt_zero(len(ctx.key_base))
             # Embed P * target into RNS slot i only.
-            m_i = self.context.modulus(i)
-            p_mod = np.uint64(self.context.p_mod_qi(i))
-            b[i] = add_mod(b[i], mul_mod(target_ntt[i], p_mod, m_i), m_i)
+            b[i] = add_mod(b[i], p_target[i], ctx.modulus(i))
             out.data.append(np.stack([b, a]))
         return out
 
     def relin_key(self) -> RelinKey:
         """Switching key for ``s**2 -> s`` (paper Relin)."""
-        sk = self.secret_key()
-        s2 = np.empty_like(sk.ntt_rows)
-        for j in range(s2.shape[0]):
-            m = self.context.modulus(j)
-            s2[j] = mul_mod(sk.ntt_rows[j], sk.ntt_rows[j], m)
-        return RelinKey(key=self._switching_key(s2))
+        s = self.secret_key().ntt_rows
+        st = self.context.stacked_modulus(len(self.context.key_base))
+        return RelinKey(key=self._switching_key(mul_mod(s, s, st)))
 
     def galois_keys(self, steps: Iterable[int] = (), *,
                     include_conjugate: bool = False) -> GaloisKeys:
@@ -128,27 +124,9 @@ class KeyGenerator:
         if include_conjugate:
             elts.append(conjugation_galois_elt(self.context.degree))
         out = GaloisKeys()
-        all_rows = list(range(len(self.context.key_base)))
         for elt in elts:
-            if out.has(elt):
-                continue
-            from ..ntt.radix2 import ntt_forward
-
-            rotated = apply_galois_coeff(
-                self._sk_coeff_rows(), elt, self.context.key_base
-            )
-            rotated_ntt = np.empty_like(rotated)
-            for j in all_rows:
-                rotated_ntt[j] = ntt_forward(rotated[j], self.context.tables[j])
-            out.keys[elt] = self._switching_key(rotated_ntt)
+            if not out.has(elt):
+                out.keys[elt] = self._switching_key(
+                    apply_galois_ntt(sk.ntt_rows, elt)
+                )
         return out
-
-    def _sk_coeff_rows(self) -> np.ndarray:
-        sk = self.secret_key()
-        rows = np.empty(
-            (len(self.context.key_base), self.context.degree), dtype=np.uint64
-        )
-        for j in range(rows.shape[0]):
-            p = np.int64(self.context.modulus(j).value)
-            rows[j] = (sk.signed_coeffs % p).astype(np.uint64)
-        return rows

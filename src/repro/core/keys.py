@@ -13,7 +13,7 @@ __all__ = ["SecretKey", "PublicKey", "KSwitchKey", "RelinKey", "GaloisKeys"]
 @dataclass
 class SecretKey:
     """Ternary secret ``s``: NTT rows over the full key base, plus the raw
-    signed coefficients (needed to build Galois keys)."""
+    signed coefficients (serialized with the key)."""
 
     ntt_rows: np.ndarray          # (L+1, N) uint64, NTT form
     signed_coeffs: np.ndarray     # (N,) int64 in {-1, 0, 1}

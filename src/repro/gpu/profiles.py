@@ -209,7 +209,12 @@ class GpuOpProfiler:
                            OpMix("copy", 0, 0, 1), streams=2)
 
     def galois(self, level: int) -> List[KernelProfile]:
-        """Automorphism: iNTT both components, permute, NTT back."""
+        """Automorphism: iNTT both components, permute, NTT back.
+
+        This is SEAL's kernel sequence, which the figures reproduce; the
+        functional evaluator gets the same result as one NTT-form index
+        permutation (``repro.core.galois.apply_galois_ntt``).
+        """
         profs: List[KernelProfile] = []
         profs += self.ntt(2 * level, inverse=True)
         profs.extend(self.dyadic("galois.permute", 2 * level, PERMUTE_MIX,

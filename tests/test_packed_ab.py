@@ -310,7 +310,7 @@ def ab_scheme():
         "public": keygen.public_key(),
         "secret": keygen.secret_key(),
         "relin": keygen.relin_key(),
-        "galois": keygen.galois_keys([1, 3]),
+        "galois": keygen.galois_keys([1, 3], include_conjugate=True),
         "evaluator": Evaluator(context),
     }
 
@@ -381,7 +381,7 @@ def test_evaluator_keyed_ops_packed_matches_serial(ab_scheme):
 
     def run_all():
         return [
-            ev.relinearize(t3, rlk), ev.rotate(a, 1, gk),
+            ev.relinearize(t3, rlk), ev.rotate(a, 1, gk), ev.conjugate(a, gk),
             *ev.rotate_hoisted(a, [1, 3], gk),
         ]
 
@@ -529,6 +529,33 @@ def test_native_evaluator_paper_shape_three_way():
     got_native = _under("native", run)
     got_packed = _under("packed", run)
     got_serial = _under("serial", run)
+    for x, y, z in zip(got_native, got_packed, got_serial):
+        assert np.array_equal(x, y)
+        assert np.array_equal(x, z)
+
+
+@needs_native
+@pytest.mark.parametrize("degree", DEGREES)
+def test_native_keygen_three_way(degree):
+    """Every key for a fixed seed is identical under all three backends."""
+    params = CkksParameters.default(
+        degree=degree, levels=3, scale_bits=23, first_bits=30, special_bits=30
+    )
+
+    def keys():
+        keygen = KeyGenerator(CkksContext(params), seed=31)
+        gk = keygen.galois_keys([1, 2, 3], include_conjugate=True)
+        return [
+            keygen.secret_key().ntt_rows,
+            keygen.public_key().data,
+            *keygen.relin_key().key.data,
+            *(part for elt in sorted(gk.keys) for part in gk.keys[elt].data),
+        ]
+
+    got_native = _under("native", keys)
+    got_packed = _under("packed", keys)
+    got_serial = _under("serial", keys)
+    assert len(got_native) == len(got_packed) == len(got_serial)
     for x, y, z in zip(got_native, got_packed, got_serial):
         assert np.array_equal(x, y)
         assert np.array_equal(x, z)
