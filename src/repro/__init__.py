@@ -17,8 +17,8 @@ A from-scratch Python implementation of the paper's XeHE system
   events, device buffers, memory cache, multi-tile scheduling);
 * :mod:`repro.core` — the RNS-CKKS scheme (encoder, keys, encryptor,
   decryptor, evaluator, the five benchmarked routines);
-* :mod:`repro.fusion` — the kernel-fusion compiler (op-trace capture,
-  elementwise-chain fusion, cross-request launch batching);
+* :mod:`repro.fusion` — the kernel-fusion compiler (elementwise-chain
+  fusion, NTT epilogue folding, cross-request launch batching);
 * :mod:`repro.gpu` — the GPU-backed evaluator binding core to runtime;
 * :mod:`repro.apps` — encrypted polynomial matMul and inference demos;
 * :mod:`repro.analysis` — profiling, figure generators, reporting.

@@ -44,9 +44,6 @@ class ProfileReport:
         ntt = self.by_kind.get("ntt", 0.0)
         return ntt / self.total_s if self.total_s else 0.0
 
-    def top_kinds(self, k: int = 5) -> List[tuple]:
-        return sorted(self.by_kind.items(), key=lambda kv: -kv[1])[:k]
-
 
 def classify(event_name: str) -> str:
     """Map a queue/kernel event name to a profiling bucket.

@@ -147,10 +147,6 @@ class ServedInferenceResult:
     metrics: "object"          # repro.server.ServerMetrics
     request_ids: List[str]
 
-    @property
-    def latency_p95_us(self) -> float:
-        return self.metrics.latency_percentile_us(95)
-
 
 def served_inference(
     x: Sequence[float],

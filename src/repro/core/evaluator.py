@@ -29,7 +29,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -184,37 +184,6 @@ class Evaluator:
             self._stacked(ct.level),
         )
         return Ciphertext(data, ct.scale * scale, ct.is_ntt)
-
-    def evaluate_polynomial(self, ct: Ciphertext, coeffs: list,
-                            relin_key: RelinKey) -> Ciphertext:
-        """Evaluate ``sum_k coeffs[k] * x**k`` on an encrypted ``x`` (Horner).
-
-        Consumes ``len(coeffs) - 1`` levels (one rescale per degree); the
-        input must be a size-2 ciphertext with enough levels left.  This
-        is the building block for activation-function approximations in
-        private inference (e.g. degree-3 sigmoid).
-        """
-        if len(coeffs) < 1:
-            raise ValueError("need at least a constant coefficient")
-        if len(coeffs) == 1:
-            out = self.multiply_scalar(ct, 0.0)
-            out = self.rescale(out)
-            return self.add_scalar(out, float(coeffs[0]))
-        degree = len(coeffs) - 1
-        if ct.level < degree + 1:
-            raise ValueError(
-                f"degree-{degree} evaluation needs {degree + 1} levels, "
-                f"ciphertext has {ct.level}"
-            )
-        # acc = c_n * x, rescaled; then repeatedly acc = (acc + c_k) * x.
-        acc = self.rescale(self.multiply_scalar(ct, float(coeffs[-1])))
-        for k in range(degree - 1, 0, -1):
-            acc = self.add_scalar(acc, float(coeffs[k]))
-            x_down = self.mod_switch_to(ct, acc.level)
-            prod = self.multiply(acc, x_down)
-            prod = self.relinearize(prod, relin_key)
-            acc = self.rescale(prod)
-        return self.add_scalar(acc, float(coeffs[0]))
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if ct.level != pt.level:

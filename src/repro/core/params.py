@@ -11,9 +11,9 @@ rescaling), and a wide special prime (key-switch noise control).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
-from ..modmath import Modulus, gen_ntt_primes
+from ..modmath import gen_ntt_primes
 from ..rns import RNSBase
 
 __all__ = ["CkksParameters", "max_modulus_bits_128", "SecurityWarning"]
@@ -92,10 +92,6 @@ class CkksParameters:
         """Number of ciphertext primes L (max ciphertext level)."""
         return len(self.moduli) - 1
 
-    @property
-    def special_prime(self) -> int:
-        return self.moduli[-1]
-
     def key_base(self) -> RNSBase:
         """All primes including the special prime (key material base)."""
         return RNSBase.from_values(self.moduli)
@@ -103,13 +99,6 @@ class CkksParameters:
     def ciphertext_base(self) -> RNSBase:
         """The ciphertext primes ``q_0 .. q_{L-1}``."""
         return RNSBase.from_values(self.moduli[:-1])
-
-    def total_coeff_modulus_bits(self) -> int:
-        """Total bits across ciphertext primes (security accounting)."""
-        total = 1
-        for p in self.moduli[:-1]:
-            total *= p
-        return total.bit_length()
 
     def is_128_bit_secure(self) -> bool:
         """True when the chain satisfies the HE-standard 128-bit table.
@@ -139,17 +128,4 @@ class CkksParameters:
             poly_modulus_degree=degree,
             coeff_modulus_bits=bits,
             scale=float(2**scale_bits),
-        )
-
-    @classmethod
-    def paper_benchmark(cls) -> "CkksParameters":
-        """The paper's routine-benchmark shape: N = 32K, RNS size 8.
-
-        Used by the *simulation-only* benchmarks; far too slow for the
-        functional path in CI.
-        """
-        return cls(
-            poly_modulus_degree=32768,
-            coeff_modulus_bits=[60, 50, 50, 50, 50, 50, 50, 50, 60],
-            scale=float(2**50),
         )

@@ -295,12 +295,6 @@ def _count_injection(point: str, mode: str) -> None:
         _INJECTED[(point, mode)] = _INJECTED.get((point, mode), 0) + 1
 
 
-def injected_total() -> int:
-    """Process-lifetime count of fired injections (across all plans)."""
-    with _INJECTED_LOCK:
-        return sum(_INJECTED.values())
-
-
 def register_metrics(registry=None):
     """Publish ``repro_faults_injected_total{point,mode}`` into a registry."""
     reg = registry or obs_metrics.get_registry()

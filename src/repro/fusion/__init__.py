@@ -1,19 +1,18 @@
-"""Kernel-fusion compiler: op-trace capture, chain fusion, launch batching.
+"""Kernel-fusion compiler: chain fusion and launch batching.
 
 The paper's biggest single-kernel wins are fusions — the ``mad_mod``
 accumulation (Sec. III-A.1), the last-round correction folded into the
 final NTT pass (Sec. III-B.1), and batching independent polynomials into
 one launch grid (Fig. 8).  This subsystem turns those one-off tricks
 into a small compiler pipeline over the kernel chains every evaluator
-operation emits:
+operation emits.  The paper's queues are in-order (Fig. 2), so each
+chain is linear: kernel ``i`` consumes kernel ``i-1``'s output.
 
-1. :mod:`~repro.fusion.trace` — capture a chain as an op-graph with
-   producer/consumer edges (:func:`capture_chain`, :class:`OpTrace`);
-2. :mod:`~repro.fusion.planner` — greedily fuse compatible adjacent
+1. :mod:`~repro.fusion.planner` — greedily fuse compatible adjacent
    elementwise kernels and fold NTT correction epilogues
    (:func:`plan_profiles`, :class:`FusionPlan`,
    :class:`FusedKernelProfile`);
-3. :mod:`~repro.fusion.batching` — merge same-shape chains from
+2. :mod:`~repro.fusion.batching` — merge same-shape chains from
    different requests in one dispatch batch into a single widened
    launch grid (:func:`batch_chains`, :class:`LaunchGroup`).
 
@@ -33,22 +32,15 @@ from .planner import (
     fold_lastround,
     fuse_run,
     plan_profiles,
-    plan_trace,
 )
-from .trace import OpTrace, TraceNode, TraceRecorder, capture_chain
 
 __all__ = [
-    "TraceNode",
-    "OpTrace",
-    "TraceRecorder",
-    "capture_chain",
     "FusedKernelProfile",
     "FusionPlan",
     "can_fuse",
     "fuse_run",
     "fold_lastround",
     "plan_profiles",
-    "plan_trace",
     "LaunchGroup",
     "chain_signature",
     "batch_chains",

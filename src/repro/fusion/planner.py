@@ -9,9 +9,10 @@ Two of the paper's biggest single-kernel wins are *fusions*:
   (Sec. III-B.1) — the separate [0,4p) -> [0,p) pass and its 2N global
   accesses disappear.
 
-This module generalizes both into a planner over captured op-traces.
-Adjacent *elementwise* kernels fuse when the merged kernel is launchable
-as one grid:
+This module generalizes both into a planner over the in-order kernel
+chain each operation emits (the paper's queues are in-order, Fig. 2, so
+kernel ``i`` consumes kernel ``i-1``'s output).  Adjacent *elementwise*
+kernels fuse when the merged kernel is launchable as one grid:
 
 * same ``work_items`` (one grid shape serves both bodies);
 * same ``mem_pattern`` (a fused body cannot switch access pattern);
@@ -41,14 +42,13 @@ are elided entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..xesim.device import DeviceSpec
 from ..xesim.executor import AggregateTiming, simulate_kernels
 from ..xesim.kernel import KernelProfile
 from ..xesim.nttmodel import BYTES_PER_ELEM
-from .trace import OpTrace
 
 __all__ = [
     "ELEM_BYTES",
@@ -58,7 +58,6 @@ __all__ = [
     "fuse_run",
     "fold_lastround",
     "plan_profiles",
-    "plan_trace",
 ]
 
 #: Bytes per polynomial coefficient (int64, shared with the NTT cost
@@ -168,26 +167,10 @@ def fold_lastround(profiles: Sequence[KernelProfile]) -> List[KernelProfile]:
     (Sec. III-B.1).  A correction with no preceding NTT kernel is kept
     as-is — there is nothing to fold it into.
     """
-    folded, _linked = _fold_lastround(profiles, [True] * len(profiles))
-    return folded
-
-
-def _fold_lastround(
-    profiles: Sequence[KernelProfile], linked: Sequence[bool]
-) -> Tuple[List[KernelProfile], List[bool]]:
-    """:func:`fold_lastround` tracking producer/consumer links.
-
-    ``linked[i]`` says profile ``i`` consumes profile ``i-1``'s output;
-    a correction may only fold into a kernel it actually consumes.  The
-    returned link list matches the folded sequence (a fold inherits the
-    host's inbound link and the correction's outbound one).
-    """
     out: List[KernelProfile] = []
-    out_linked: List[bool] = []
-    for pos, prof in enumerate(profiles):
+    for prof in profiles:
         if (
             _is_lastround(prof)
-            and linked[pos]
             and out
             and out[-1].ntt_class
             and not _is_lastround(out[-1])
@@ -220,8 +203,7 @@ def _fold_lastround(
             )
         else:
             out.append(prof)
-            out_linked.append(linked[pos])
-    return out, out_linked
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,86 +230,33 @@ class FusionPlan:
     def elided_bytes(self) -> float:
         return self.raw_bytes - self.global_bytes
 
-    @property
-    def fused_kernels(self) -> int:
-        return sum(
-            1 for p in self.profiles if isinstance(p, FusedKernelProfile)
-        )
-
     def simulate(self, device: DeviceSpec, *, tiles: int = 1) -> AggregateTiming:
         return simulate_kernels(list(self.profiles), device, tiles=tiles)
 
 
-def plan_profiles(
-    profiles: Sequence[KernelProfile],
-    *,
-    fold_ntt: bool = True,
-    fuse_elementwise: bool = True,
-    linked: Sequence[bool] | None = None,
-) -> FusionPlan:
+def plan_profiles(profiles: Sequence[KernelProfile]) -> FusionPlan:
     """Greedy adjacent fusion over an in-order kernel chain.
 
     Walks the chain once, extending the current elementwise run while
     :func:`can_fuse` holds and flushing it as one fused kernel when it
     breaks.  The NTT epilogue fold runs first so a freed correction
     kernel cannot block an elementwise run.
-
-    ``linked[i]`` marks a producer/consumer edge from profile ``i-1`` to
-    profile ``i`` — fusion never crosses a missing edge (the intermediate
-    cannot stay in registers if it isn't this kernel's input).  ``None``
-    treats the whole sequence as one dependence chain, which is what an
-    in-order evaluator op emits; :func:`plan_trace` derives the links
-    from a captured op-graph instead.
     """
-    if linked is None:
-        linked = [True] * len(profiles)
-    elif len(linked) != len(profiles):
-        raise ValueError("linked must have one entry per profile")
-    raw_launches = sum(p.launches for p in profiles)
-    raw_bytes = sum(p.global_bytes for p in profiles)
-    if fold_ntt:
-        work, links = _fold_lastround(profiles, linked)
-    else:
-        work, links = list(profiles), list(linked)
-
     out: List[KernelProfile] = []
-    if fuse_elementwise:
-        run: List[KernelProfile] = []
-        for pos, prof in enumerate(work):
-            if run and links[pos] and can_fuse(run[-1], prof):
-                run.append(prof)
-                continue
-            if run:
-                out.append(fuse_run(run))
-            run = [prof] if not prof.ntt_class else []
-            if prof.ntt_class:
-                out.append(prof)
+    run: List[KernelProfile] = []
+    for prof in fold_lastround(profiles):
+        if run and can_fuse(run[-1], prof):
+            run.append(prof)
+            continue
         if run:
             out.append(fuse_run(run))
-    else:
-        out = work
+        run = [prof] if not prof.ntt_class else []
+        if prof.ntt_class:
+            out.append(prof)
+    if run:
+        out.append(fuse_run(run))
     return FusionPlan(
-        profiles=tuple(out), raw_launches=raw_launches, raw_bytes=raw_bytes
-    )
-
-
-def plan_trace(
-    trace: OpTrace, *, fold_ntt: bool = True, fuse_elementwise: bool = True
-) -> FusionPlan:
-    """Plan a captured op-trace, honouring its producer/consumer edges.
-
-    Fusion requires adjacency on the in-order queue *and* a real
-    dataflow edge, so only edges between neighbouring submissions
-    (``i-1 -> i``) enable fusion; any other recorded edge still executes
-    correctly but cannot keep its intermediate in registers.
-    """
-    linked = [False] * len(trace)
-    for producer, consumer in trace.edges():
-        if consumer == producer + 1:
-            linked[consumer] = True
-    return plan_profiles(
-        trace.profiles,
-        fold_ntt=fold_ntt,
-        fuse_elementwise=fuse_elementwise,
-        linked=linked,
+        profiles=tuple(out),
+        raw_launches=sum(p.launches for p in profiles),
+        raw_bytes=sum(p.global_bytes for p in profiles),
     )

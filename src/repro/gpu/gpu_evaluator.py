@@ -8,8 +8,10 @@ Two entry points:
   NTT-vs-others decomposition of Figs. 5/16/18;
 * :class:`GpuEvaluator` — functional: wraps the exact
   :class:`~repro.core.evaluator.Evaluator` math while submitting the same
-  kernel profiles to a runtime :class:`~repro.runtime.queue.Queue`, so
-  applications get real ciphertexts *and* a simulated device timeline.
+  kernel profiles (fused by :func:`~repro.fusion.plan_profiles` when
+  ``config.kernel_fusion`` is on) to a runtime
+  :class:`~repro.runtime.queue.Queue`, so applications get real
+  ciphertexts *and* a simulated device timeline.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional
 from ..core.ciphertext import Ciphertext
 from ..core.evaluator import Evaluator
 from ..core.keys import GaloisKeys, RelinKey
-from ..fusion import TraceRecorder, plan_profiles, plan_trace
+from ..fusion import plan_profiles
 from ..runtime.queue import Queue
 from ..xesim.device import DeviceSpec
 from ..xesim.executor import simulate_kernel, simulate_kernels
@@ -107,42 +109,26 @@ class GpuEvaluator:
     modelled device.  Used by the application benchmarks (Fig. 19) where
     both the answer and the timeline matter.
 
-    With ``config.kernel_fusion`` every operation's kernel chain is
-    captured as an op-trace and run through the :mod:`repro.fusion`
-    planner before submission: fewer launches hit the queue, the math is
-    untouched.  ``recorder`` keeps the captured traces for later
-    analysis (fused-vs-raw breakdowns); it retains only the most recent
-    ``recorder.max_traces`` operations, and workloads that don't need
-    the history at all can pass ``capture_traces=False``.
+    With ``config.kernel_fusion`` every operation's kernel chain runs
+    through the :mod:`repro.fusion` planner before submission: fewer
+    launches hit the queue, the math is untouched.
     """
 
     def __init__(self, evaluator: Evaluator, device: DeviceSpec,
-                 config: GpuConfig, queue: Optional[Queue] = None,
-                 *, capture_traces: Optional[bool] = None):
+                 config: GpuConfig, queue: Optional[Queue] = None):
         self.ev = evaluator
         self.device = device
         self.config = config
         self.queue = queue if queue is not None else Queue(device=device,
                                                            tiles=config.tiles)
         self.profiler = GpuOpProfiler(evaluator.context.degree, device, config)
-        self.recorder = TraceRecorder()
-        #: Default: record exactly when the traces are being consumed
-        #: (fusion on); opt out to keep memory flat on long workloads.
-        self.capture_traces = (config.kernel_fusion if capture_traces is None
-                               else capture_traces)
         self.raw_launches = 0
         self.submitted_launches = 0
 
-    def _submit(self, op: str, profiles: List[KernelProfile]) -> None:
+    def _submit(self, profiles: List[KernelProfile]) -> None:
         self.raw_launches += sum(p.launches for p in profiles)
-        trace = (self.recorder.record(op, profiles)
-                 if self.capture_traces else None)
         if self.config.kernel_fusion:
-            # An unrecorded op skips trace construction: a linear chain
-            # plans identically through plan_profiles.
-            plan = (plan_trace(trace) if trace is not None
-                    else plan_profiles(profiles))
-            profiles = list(plan.profiles)
+            profiles = list(plan_profiles(profiles).profiles)
         self.submitted_launches += sum(p.launches for p in profiles)
         for p in profiles:
             self.queue.submit(p)
@@ -151,37 +137,37 @@ class GpuEvaluator:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         out = self.ev.add(a, b)
-        self._submit("add", self.profiler.add(a.level))
+        self._submit(self.profiler.add(a.level))
         return out
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         out = self.ev.multiply(a, b)
-        self._submit("multiply", self.profiler.multiply(a.level))
+        self._submit(self.profiler.multiply(a.level))
         return out
 
     def square(self, a: Ciphertext) -> Ciphertext:
         out = self.ev.square(a)
-        self._submit("square", self.profiler.square(a.level))
+        self._submit(self.profiler.square(a.level))
         return out
 
     def relinearize(self, a: Ciphertext, rlk: RelinKey) -> Ciphertext:
         out = self.ev.relinearize(a, rlk)
-        self._submit("relinearize", self.profiler.relinearize(a.level))
+        self._submit(self.profiler.relinearize(a.level))
         return out
 
     def rescale(self, a: Ciphertext) -> Ciphertext:
         out = self.ev.rescale(a)
-        self._submit("rescale", self.profiler.rescale(a.level))
+        self._submit(self.profiler.rescale(a.level))
         return out
 
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:
         out = self.ev.mod_switch_to_next(a)
-        self._submit("mod_switch", self.profiler.mod_switch(a.level))
+        self._submit(self.profiler.mod_switch(a.level))
         return out
 
     def rotate(self, a: Ciphertext, steps: int, gk: GaloisKeys) -> Ciphertext:
         out = self.ev.rotate(a, steps, gk)
-        self._submit("rotate", self.profiler.rotate(a.level))
+        self._submit(self.profiler.rotate(a.level))
         return out
 
     @property

@@ -12,7 +12,7 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List
 
 from ..ntt.variants import NTTVariant, get_variant
@@ -40,12 +40,12 @@ class GpuConfig:
     * ``mad_fusion`` — fused mad_mod in accumulation kernels (Sec. III-A.1);
     * ``tiles`` — explicit multi-tile submission (Sec. III-C.2);
     * ``memcache`` — the device memory cache (Sec. III-C.1);
-    * ``kernel_fusion`` — run emitted kernel chains through the
-      :mod:`repro.fusion` planner before submission: adjacent compatible
-      elementwise kernels merge into one launch, NTT correction
-      epilogues fold into their transform, and the serving dispatcher
-      additionally widens same-shape chains across requests.  Timing
-      only — results stay bit-identical.
+    * ``kernel_fusion`` — run each operation's in-order kernel chain
+      through :func:`repro.fusion.plan_profiles` before submission:
+      adjacent compatible elementwise kernels merge into one launch, NTT
+      correction epilogues fold into their transform, and the serving
+      dispatcher additionally widens same-shape chains across requests.
+      Timing only — results stay bit-identical.
     """
 
     ntt_variant: str = "naive"

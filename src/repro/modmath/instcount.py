@@ -18,7 +18,7 @@ behind Table I of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 __all__ = [
@@ -65,12 +65,6 @@ class InstructionSequence:
     @property
     def n_instructions(self) -> int:
         return len(self.instructions)
-
-    def mnemonic_histogram(self) -> Dict[str, int]:
-        hist: Dict[str, int] = {}
-        for ins in self.instructions:
-            hist[ins.mnemonic] = hist.get(ins.mnemonic, 0) + 1
-        return hist
 
     def render(self) -> List[str]:
         return [f"{i + 1}: {ins.render()}" for i, ins in enumerate(self.instructions)]

@@ -13,11 +13,9 @@ oracle — all bit-identical).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..modmath import Modulus, mul_mod
+from ..modmath import mul_mod
 from ..rns import RNSBase
 from .radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from .tables import StackedNTTTables, get_stacked_tables
@@ -70,19 +68,3 @@ class NTTEngine:
         self._check(a)
         k = a.shape[-2]
         return mul_mod(a, b, self.stacked.modulus.prefix(k))
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficient-form product in ``R_q = Z_q[x]/(x^n+1)`` via NTT.
-
-        The paper's Sec. II-B pipeline: forward both operands, dyadic
-        multiply, inverse the product.
-        """
-        fa = self.forward(a, lazy=True)
-        fb = self.forward(b, lazy=True)
-        # Lazy values are < 4p < 2^63; dyadic mul_mod handles any uint64.
-        prod = self.dyadic_multiply(fa, fb)
-        return self.inverse(prod)
-
-    def subengine(self, rows: int) -> "NTTEngine":
-        """Engine over the first ``rows`` primes (a lower level)."""
-        return NTTEngine(self.degree, self.base.prefix(rows))

@@ -26,7 +26,6 @@ __all__ = [
     "shuffle_register_index",
     "SimdExchange",
     "simd_exchange_plan",
-    "shuffles_per_work_item",
 ]
 
 
@@ -77,12 +76,3 @@ def simd_exchange_plan(simd_width: int, reg_slots: int) -> List[SimdExchange]:
         plan.append(SimdExchange(gap=gap, targets=targets, registers=regs))
         gap //= 2
     return plan
-
-
-def shuffles_per_work_item(simd_width: int, reg_slots: int) -> int:
-    """Shuffle instructions per work-item across the SIMD phase.
-
-    Each of the ``log2(simd_width)`` lane-level rounds moves ``reg_slots``
-    registers (the Fig. 9 loop over ``LOCAL_REG_SLOTS``).
-    """
-    return (simd_width.bit_length() - 1) * reg_slots

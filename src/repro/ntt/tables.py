@@ -146,10 +146,6 @@ class NTTTables:
             n_inv=MultiplyOperand.create(inv_mod(degree, modulus), modulus),
         )
 
-    @property
-    def log_degree(self) -> int:
-        return self.degree.bit_length() - 1
-
 
 class StackedNTTTables:
     """Twiddle tables for a whole RNS base, stacked along a leading limb axis.

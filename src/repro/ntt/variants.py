@@ -3,7 +3,7 @@
 Each variant bundles (a) a functional executor — all variants compute the
 same transform, validated against each other in tests — and (b) the
 structural facts the performance model needs: round schedule, registers
-per work-item, shuffle counts, Table-I op counts.
+per work-item and work-items per round.
 
 Variant names follow the paper's figures:
 
@@ -25,18 +25,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..modmath.instcount import other_ops, work_item_ops
-from .highradix import ntt_forward_high_radix
-from .radix2 import ntt_forward
-from .simd import shuffles_per_work_item
 from .stages import RoundGroup, stage_schedule
 from .tables import NTTTables
 
 __all__ = ["NTTVariant", "VARIANTS", "get_variant", "run_variant"]
-
-#: SIMD lanes per sub-group on the modelled devices.
-SIMD_WIDTH = 8
-
 
 @dataclass(frozen=True)
 class NTTVariant:
@@ -82,17 +74,6 @@ class NTTVariant:
         """Work-items per transform round (elements / radix slots held)."""
         held = self.radix if self.radix > 2 else 2 * self.reg_slots
         return n // held
-
-    def ops_per_work_item_round(self) -> float:
-        """Table I total (with the asm reduction when enabled)."""
-        return work_item_ops(self.radix, asm=self.asm)
-
-    def shuffle_ops(self, n: int) -> int:
-        """Total shuffle instructions per transform (SIMD phase only)."""
-        if self.ter_simd_gap == 0:
-            return 0
-        per_wi = shuffles_per_work_item(SIMD_WIDTH, self.reg_slots)
-        return per_wi * self.work_items(n)
 
     def description(self) -> str:
         bits = [f"radix-{self.radix}"]

@@ -137,10 +137,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += n
 
-    def dec(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value -= n
-
 
 class Histogram:
     """Fixed-bucket histogram with inclusive (``le``) upper bounds.

@@ -12,11 +12,9 @@ term as noise (key switching) or eliminate it with a correction residue.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..modmath import Modulus, mul_mod
+from ..modmath import mul_mod
 from ..modmath.ops import add_mod
 from .base import RNSBase
 
@@ -92,6 +90,3 @@ class BaseConverter:
             out[j] = acc
         return out
 
-    def overshoot_bound(self) -> int:
-        """Max ``alpha`` such that conv(x) = x + alpha*q: the input size."""
-        return len(self.ibase)

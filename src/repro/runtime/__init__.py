@@ -5,7 +5,7 @@ from .event import Event, EventStatus, HostClock
 from .memcache import CacheStats, MemoryCache
 from .pipeline import AsyncPipeline, PipelineOp, PipelineResult
 from .queue import Queue
-from .scheduler import MultiTileScheduler, split_batch
+from .scheduler import MultiTileScheduler
 
 __all__ = [
     "DeviceBuffer",
@@ -16,7 +16,6 @@ __all__ = [
     "CacheStats",
     "Queue",
     "MultiTileScheduler",
-    "split_batch",
     "AsyncPipeline",
     "PipelineOp",
     "PipelineResult",

@@ -14,7 +14,7 @@ so the matMul application benchmarks (Fig. 19) can show the ~90% win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .buffer import DeviceBuffer
@@ -95,22 +95,6 @@ class MemoryCache:
         if self.enabled:
             self._free_pool.append(buf)
         return FREE_US
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free_pool)
-
-    @property
-    def used_count(self) -> int:
-        return len(self._used_pool)
-
-    def total_device_bytes(self) -> int:
-        """Bytes currently reserved on the device (both pools)."""
-        return sum(b.capacity_bytes for b in self._free_pool) + sum(
-            b.capacity_bytes for b in self._used_pool.values()
-        )
 
     def clear(self) -> None:
         """Drop the free pool (return memory to the driver)."""

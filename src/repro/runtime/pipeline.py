@@ -21,7 +21,7 @@ different tiles and overlap.  This is the execution path of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..xesim.device import DeviceSpec
@@ -57,10 +57,6 @@ class PipelineResult:
     total_time_s: float
     device_busy_s: float
     sync_count: int
-
-    @property
-    def host_overhead_s(self) -> float:
-        return self.total_time_s - self.device_busy_s
 
 
 class AsyncPipeline:
@@ -211,14 +207,3 @@ class AsyncPipeline:
             )
         self._submit_on_scheduler("asynchronous")
         yield from self.scheduler.drain()
-
-    def speedup_async_over_sync(self) -> float:
-        """Convenience: run both modes and compare (single-queue mode only)."""
-        if self.scheduler is not None:
-            raise ValueError(
-                "mode comparison needs a fresh queue per run; "
-                "use two pipelines with fresh schedulers instead"
-            )
-        sync = self.run("synchronous")
-        async_ = self.run("asynchronous")
-        return sync.total_time_s / async_.total_time_s

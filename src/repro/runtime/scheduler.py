@@ -3,66 +3,41 @@
 DPC++ of the paper's era did not transparently spread one queue across
 tiles of a multi-tile GPU; the paper therefore opens one queue per tile
 and splits batched workloads between them ("explicit multiple-tile
-submission").  :class:`MultiTileScheduler` reproduces that: it partitions
-a batch of kernel profiles round-robin across per-tile queues and reports
-the makespan (the slowest tile).
+submission").  :class:`MultiTileScheduler` reproduces that: one in-order
+queue per tile on a shared host clock.  Callers submit each kernel to a
+chosen tile queue (or the least-loaded one) and read the makespan (the
+slowest tile).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List
 
 from ..xesim.device import DeviceSpec
-from ..xesim.kernel import KernelProfile, scale_profile
 from .event import Event, EventStatus, HostClock
 from .queue import Queue
 
-__all__ = ["MultiTileScheduler", "split_batch"]
-
-
-def split_batch(batch: int, parts: int) -> List[int]:
-    """Split a batch count into ``parts`` near-equal positive chunks.
-
-    An empty batch is a legal no-op (``[]``): the serving layer forms
-    batches from a request queue that may momentarily be empty, and an
-    empty split must not abort a dispatch cycle.
-    """
-    if batch < 0:
-        raise ValueError("batch must be >= 0")
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if batch == 0:
-        return []
-    parts = min(parts, batch)
-    base, rem = divmod(batch, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+__all__ = ["MultiTileScheduler"]
 
 
 @dataclass
 class MultiTileScheduler:
-    """One in-order queue per tile, fed round-robin.
+    """One in-order queue per tile.
 
-    ``strict=False`` clamps ``use_tiles`` into ``[1, device.tiles]``
-    instead of raising — the serving layer shares one device table across
-    heterogeneous devices, so a tile request that exceeds a smaller
-    device's tile count degrades gracefully to "all tiles".
+    ``use_tiles`` is clamped into ``[1, device.tiles]`` — the serving
+    layer shares one device table across heterogeneous devices, so a
+    tile request that exceeds a smaller device's tile count degrades
+    gracefully to "all tiles".
     """
 
     device: DeviceSpec
     use_tiles: int
     clock: HostClock = field(default_factory=HostClock)
-    strict: bool = True
     queues: List[Queue] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.use_tiles <= self.device.tiles:
-            if self.strict:
-                raise ValueError(
-                    f"use_tiles must be in [1, {self.device.tiles}], "
-                    f"got {self.use_tiles}"
-                )
-            self.use_tiles = max(1, min(self.use_tiles, self.device.tiles))
+        self.use_tiles = max(1, min(self.use_tiles, self.device.tiles))
         self.queues = [
             Queue(device=self.device, tiles=1, clock=self.clock)
             for _ in range(self.use_tiles)
@@ -71,20 +46,6 @@ class MultiTileScheduler:
     def least_loaded(self) -> Queue:
         """The tile queue with the earliest projected drain time."""
         return min(self.queues, key=lambda q: q.device_time)
-
-    def submit_batched(
-        self,
-        profile_for_batch: Callable[[int], Sequence[KernelProfile]],
-        batch: int,
-    ) -> None:
-        """Split a batch across tiles; each tile gets its own kernel chain.
-
-        ``profile_for_batch(b)`` must return the kernel profiles for a
-        sub-batch of size ``b`` (the same kernels, smaller grids).
-        """
-        for q, sub in zip(self.queues, split_batch(batch, self.use_tiles)):
-            for p in profile_for_batch(sub):
-                q.submit(p)
 
     def wait_all(self) -> float:
         """Drain every tile queue; returns the makespan (host time)."""
@@ -120,8 +81,3 @@ class MultiTileScheduler:
     @property
     def total_busy(self) -> float:
         return sum(q.busy_time for q in self.queues)
-
-    def load_imbalance(self) -> float:
-        """Makespan / ideal: 1.0 means perfectly balanced tiles."""
-        ideal = self.total_busy / self.use_tiles
-        return self.makespan / ideal if ideal else 1.0

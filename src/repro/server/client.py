@@ -202,10 +202,6 @@ class ServerClient:
         self._in_session = True
         return ack
 
-    @property
-    def in_session(self) -> bool:
-        return self._in_session
-
     # -- encryption helpers --------------------------------------------------------
 
     def encrypt(self, values: Sequence[float]) -> Ciphertext:
@@ -276,18 +272,6 @@ class ServerClient:
         return self.submit("multiply", [self.encrypt(a), self.encrypt(b)],
                            arrival_us=arrival_us, priority=priority,
                            deadline_ms=deadline_ms)
-
-    def submit_add(self, a, b, *, arrival_us=None, priority=0,
-                   deadline_ms=None) -> str:
-        return self.submit("add", [self.encrypt(a), self.encrypt(b)],
-                           arrival_us=arrival_us, priority=priority,
-                           deadline_ms=deadline_ms)
-
-    def submit_rotate(self, values, steps: int, *, arrival_us=None,
-                      priority=0, deadline_ms=None) -> str:
-        return self.submit("rotate", [self.encrypt(values)],
-                           arrival_us=arrival_us, priority=priority,
-                           deadline_ms=deadline_ms, steps=steps)
 
     def submit_dot(self, values, weights_name: str, *, arrival_us=None,
                    priority=0, deadline_ms=None) -> str:

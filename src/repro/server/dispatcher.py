@@ -54,6 +54,7 @@ from ..core.ciphertext import Ciphertext
 from ..core.context import CkksContext
 from ..core.encoder import CkksEncoder
 from ..core.evaluator import Evaluator
+from ..core.keys import GaloisKeys, RelinKey
 from ..core.params import CkksParameters
 from ..core.plaintext import Plaintext
 from ..core.serialize import (
@@ -230,12 +231,26 @@ class ServerSession:
     # -- key / weight installation ------------------------------------------------
 
     def install_relin_key(self, wire: bytes, *, client_id: str = "") -> None:
-        self._space(client_id).relin = from_bytes(load_relin_key, wire)
-        self.artifacts.invalidate(self._art(client_id, "key:relin"))
+        self.set_keys(client_id, relin=from_bytes(load_relin_key, wire))
 
     def install_galois_keys(self, wire: bytes, *, client_id: str = "") -> None:
-        self._space(client_id).galois = from_bytes(load_galois_keys, wire)
-        self.artifacts.invalidate(self._art(client_id, "key:galois"))
+        self.set_keys(client_id, galois=from_bytes(load_galois_keys, wire))
+
+    def set_keys(self, client_id: str = "", *,
+                 relin: Optional[RelinKey] = None,
+                 galois: Optional[GaloisKeys] = None) -> None:
+        """Install already-decoded evaluation keys into one keyspace.
+
+        ``None`` leaves that key as it is; an installed key invalidates
+        its cached artifact so requests never see a stale generation.
+        """
+        space = self._space(client_id)
+        if relin is not None:
+            space.relin = relin
+            self.artifacts.invalidate(self._art(client_id, "key:relin"))
+        if galois is not None:
+            space.galois = galois
+            self.artifacts.invalidate(self._art(client_id, "key:galois"))
 
     def install_weights(self, name: str, values, *,
                         client_id: str = "") -> None:
@@ -601,7 +616,7 @@ class BatchDispatcher:
                 live.append(req)
         self.expired += len(expired)
 
-        sched = MultiTileScheduler(device=dev, use_tiles=tiles, strict=False)
+        sched = MultiTileScheduler(device=dev, use_tiles=tiles)
         pipe = AsyncPipeline(dev, scheduler=sched)
         profiler = self._profilers[pool_idx]
         session.ntt_tables_artifact(dev)
@@ -777,7 +792,6 @@ class HEServer:
                  gpu_config: Optional[GpuConfig] = None,
                  admission: Optional[AdmissionPolicy] = None,
                  tenant_fairness: Optional[TenantFairness] = None,
-                 priority_eviction: Optional[bool] = None,
                  workers: int = 0,
                  watchdog_s: Optional[float] = None,
                  registry: Optional[obs_metrics.MetricsRegistry] = None):
@@ -804,17 +818,11 @@ class HEServer:
                           if admission is not None else None)
         #: Per-tenant token buckets + fair-share weights layered over
         #: the global admission gate; also feeds the batcher's weighted
-        #: fair-share membership.
+        #: fair-share membership and turns on shed-lowest-priority-first
+        #: (see :meth:`submit`).
         self.fairness = tenant_fairness
         if tenant_fairness is not None:
             self.batcher.weights_fn = tenant_fairness.weights
-        #: Shed-lowest-priority-first: when the gate (global or tenant)
-        #: would shed an arriving request, evict a strictly
-        #: lower-priority queued request instead (typed ``overloaded``)
-        #: and admit the newcomer.  Defaults on with tenant fairness.
-        self.priority_eviction = (priority_eviction
-                                  if priority_eviction is not None
-                                  else tenant_fairness is not None)
         self.metrics = ServerMetrics(self.dispatcher)
         #: Timer ticks served through :meth:`pump_once`.
         self.pump_ticks = 0
@@ -860,10 +868,6 @@ class HEServer:
     def handshake(self, hello) -> bytes:
         """Open/refresh a client session; returns the ``RPRA`` ack frame."""
         return self.sessions.handshake(hello, now_us=self._clock_us)
-
-    def inject_device_failure(self, label: str, at_us: float) -> None:
-        """Simulate one pool device dying at ``at_us`` (failure testing)."""
-        self.dispatcher.fail_device(label, at_us)
 
     def close(self) -> None:
         """Shut the evaluation worker pool down (idempotent).
@@ -926,8 +930,10 @@ class HEServer:
                 # queue, never another tenant's.
                 evict_from = req.client_id
             if shed_reason is not None:
+                # With tenant fairness, a strictly lower-priority queued
+                # request can be evicted (typed ``overloaded``) instead.
                 victim = (self.batcher.evict_lowest(req.priority, evict_from)
-                          if self.priority_eviction else None)
+                          if self.fairness is not None else None)
                 if victim is None:
                     self._shed_overloaded(req, shed_reason)
                     return req.request_id

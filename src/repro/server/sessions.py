@@ -22,7 +22,7 @@ another's results.  :class:`SessionManager` owns that mapping:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.serialize import (
     SessionTicket,
@@ -104,18 +104,18 @@ class SessionManager:
         a wire protocol, so errors travel as frames.
         """
         cid = ""
-        # Decode the frame and validate every key blob *before* touching
-        # any state, so a refused handshake is atomic: no session
+        # Decode the frame and every key blob *before* touching any
+        # state, so a refused handshake is atomic: no session
         # registered, no key of a rotation pair half-installed (mixed
         # key generations would silently corrupt rotate/dot results).
         try:
             if isinstance(hello, (bytes, bytearray)):
                 hello = decode_session_hello(hello)
             cid = hello.client_id
-            if hello.relin_wire is not None:
-                from_bytes(load_relin_key, hello.relin_wire)
-            if hello.galois_wire is not None:
-                from_bytes(load_galois_keys, hello.galois_wire)
+            relin = (from_bytes(load_relin_key, hello.relin_wire)
+                     if hello.relin_wire is not None else None)
+            galois = (from_bytes(load_galois_keys, hello.galois_wire)
+                      if hello.galois_wire is not None else None)
         except Exception as exc:  # wire boundary: errors become frames
             ack = SessionAck(client_id=cid, ok=False, error=str(exc))
             return encode_session_ack(ack)
@@ -128,14 +128,9 @@ class SessionManager:
                                  created_us=now_us)
             self._sessions[cid] = sess
         sess.handshakes += 1
-        if hello.relin_wire is not None:
-            self._server_session.install_relin_key(
-                hello.relin_wire, client_id=cid)
-            sess.has_relin = True
-        if hello.galois_wire is not None:
-            self._server_session.install_galois_keys(
-                hello.galois_wire, client_id=cid)
-            sess.has_galois = True
+        self._server_session.set_keys(cid, relin=relin, galois=galois)
+        sess.has_relin |= relin is not None
+        sess.has_galois |= galois is not None
         ack = SessionAck(
             client_id=cid, ok=True, session_id=sess.session_id,
             ticket_wire=to_bytes(save_session_ticket, sess.ticket),

@@ -80,10 +80,6 @@ class DeviceSpec:
     def subslices_per_tile(self) -> int:
         return self.eus_per_tile // self.eus_per_subslice
 
-    @property
-    def eus_total(self) -> int:
-        return self.eus_per_tile * self.tiles
-
     def peak_int64_gops(self, tiles: int | None = None) -> float:
         """int64 peak in Gop/s for ``tiles`` tiles (default: full machine).
 

@@ -10,7 +10,7 @@ their modelled throughput, with a host-side coordination cost per device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ntt.variants import NTTVariant
 from .device import DeviceSpec
@@ -30,10 +30,6 @@ class MultiGpuPlan:
     """A batch split across devices: (device, tiles, batch share)."""
 
     assignments: Tuple[Tuple[DeviceSpec, int, int], ...]
-
-    @property
-    def total_batch(self) -> int:
-        return sum(b for _, _, b in self.assignments)
 
     def describe(self) -> List[str]:
         return [
@@ -83,12 +79,6 @@ class MultiGpuResult:
     @property
     def speedup_vs_best_single(self) -> float:
         return self.single_best_s / self.makespan_s
-
-    def scaling_efficiency(self) -> float:
-        """Achieved speedup / ideal (peak-ratio) speedup."""
-        total = sum(1.0 / t for t in self.per_device_s.values() if t > 0)
-        ideal = self.single_best_s * total
-        return self.speedup_vs_best_single / ideal if ideal else 0.0
 
 
 def simulate_multi_gpu_ntt(

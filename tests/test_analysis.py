@@ -101,4 +101,4 @@ class TestProfiler:
         assert rep.total_s == pytest.approx(
             rep.by_kind["ntt"] + rep.by_kind["dyadic"]
         )
-        assert rep.top_kinds(1)[0][0] == "ntt"
+        assert max(rep.by_kind, key=rep.by_kind.get) == "ntt"

@@ -55,11 +55,6 @@ class TestParams:
                            coeff_modulus_bits=[35, 35, 35], scale=2.0**30)
         assert p.is_128_bit_secure()
 
-    def test_paper_benchmark_shape(self):
-        p = CkksParameters.paper_benchmark()
-        assert p.degree == 32768
-        assert p.levels == 8  # the paper's RNS size L = 8
-
     def test_distinct_primes(self, ckks):
         assert len(set(ckks["params"].moduli)) == len(ckks["params"].moduli)
 

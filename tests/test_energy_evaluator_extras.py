@@ -44,8 +44,8 @@ class TestEvaluatorExtras:
     def dec(self, ckks, ct):
         return ckks["encoder"].decode(ckks["decryptor"].decrypt(ct)).real
 
-    def enc(self, ckks, rng, scale_down=1.0):
-        z = rng.normal(size=ckks["encoder"].slots) * scale_down
+    def enc(self, ckks, rng):
+        z = rng.normal(size=ckks["encoder"].slots)
         return z, ckks["encryptor"].encrypt(ckks["encoder"].encode(z))
 
     def test_negate(self, ckks, rng):
@@ -74,37 +74,3 @@ class TestEvaluatorExtras:
         out = ckks["evaluator"].multiply_scalar(ct, 2.0)
         assert out.scale == pytest.approx(ct.scale * ckks["params"].scale)
 
-    def test_polynomial_cubic(self, ckks, rng):
-        z, ct = self.enc(ckks, rng, scale_down=0.5)
-        coeffs = [0.5, -0.15, 0.2, 0.1]
-        out = ckks["evaluator"].evaluate_polynomial(ct, coeffs, ckks["relin"])
-        expect = coeffs[0] + coeffs[1] * z + coeffs[2] * z**2 + coeffs[3] * z**3
-        assert np.abs(self.dec(ckks, out) - expect).max() < 1e-3
-        assert out.level == ct.level - 3
-
-    def test_polynomial_linear(self, ckks, rng):
-        z, ct = self.enc(ckks, rng)
-        out = ckks["evaluator"].evaluate_polynomial(ct, [1.0, 2.0], ckks["relin"])
-        assert np.abs(self.dec(ckks, out) - (1.0 + 2.0 * z)).max() < 1e-3
-
-    def test_polynomial_depth_check(self, ckks, rng):
-        _, ct = self.enc(ckks, rng)
-        ev = ckks["evaluator"]
-        too_deep = [0.1] * (ct.level + 1)  # degree = level > level-1 allowed
-        with pytest.raises(ValueError):
-            ev.evaluate_polynomial(ct, too_deep, ckks["relin"])
-
-    def test_polynomial_empty_rejected(self, ckks, rng):
-        _, ct = self.enc(ckks, rng)
-        with pytest.raises(ValueError):
-            ckks["evaluator"].evaluate_polynomial(ct, [], ckks["relin"])
-
-    def test_sigmoid_approximation_use_case(self, ckks, rng):
-        """Degree-3 sigmoid approx (the private-inference activation)."""
-        z, ct = self.enc(ckks, rng, scale_down=0.4)
-        # sigmoid(x) ~ 0.5 + 0.197x - 0.004x^3 on [-4, 4] (HEAAN's choice).
-        coeffs = [0.5, 0.197, 0.0, -0.004]
-        out = ckks["evaluator"].evaluate_polynomial(ct, coeffs, ckks["relin"])
-        got = self.dec(ckks, out)
-        true_sigmoid = 1.0 / (1.0 + np.exp(-z))
-        assert np.abs(got - true_sigmoid).max() < 0.05  # approx + HE error

@@ -140,7 +140,7 @@ class TestMidStreamDeviceFailure:
         ids = [client.submit_square(v, arrival_us=float(i * 100))
                for i, v in enumerate(values)]
         if fail is not None:
-            server.inject_device_failure(*fail)
+            server.dispatcher.fail_device(*fail)
         streamed = list(client.stream())
         return server, client, values, ids, streamed
 

@@ -19,6 +19,7 @@ from repro.core.serialize import (
     to_bytes,
 )
 from repro.faults import FaultPlan, FaultRule, InjectedFault
+from repro.obs.metrics import MetricsRegistry
 from repro.server.client import RetryPolicy, submit_with_retry
 from repro.server.request import (
     FrameError,
@@ -85,13 +86,18 @@ class TestFaultPlan:
         assert faults.check("p") is None
 
     def test_summary_and_injected_counter(self):
-        before = faults.injected_total()
+        def injected():
+            reg = faults.register_metrics(MetricsRegistry())
+            return reg.counter("repro_faults_injected_total", labels={
+                "point": "p", "mode": "slow_execution"}).value()
+
+        before = injected()
         plan = FaultPlan([FaultRule("p", "slow_execution", hits=(1, 2))])
         with faults.use_plan(plan):
             faults.check("p")
             faults.check("p")
         assert plan.summary() == {"p/slow_execution": 2}
-        assert faults.injected_total() == before + 2
+        assert injected() == before + 2
 
     def test_registered_faultpoints_cover_the_serving_stack(self):
         import repro.modmath.scratch  # noqa: F401 - registers scratch.alloc

@@ -1,27 +1,26 @@
 """Tests for the kernel-fusion compiler (repro.fusion).
 
-Covers the trace-capture layer, the fusion planner's compatibility rules
-and conservation laws, the NTT epilogue fold, cross-request launch
-batching, and end-to-end bit-exactness through the GPU evaluator and the
-serving dispatcher with fusion on vs off.
+Covers the fusion planner's compatibility rules and conservation laws,
+the NTT epilogue fold, cross-request launch batching, a digest pinning
+the planner's output over the paper's operation and routine chains, and
+end-to-end bit-exactness through the GPU evaluator and the serving
+dispatcher with fusion on vs off.
 """
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.fusion import (
     FusedKernelProfile,
-    LaunchGroup,
-    OpTrace,
-    TraceRecorder,
     batch_chains,
     can_fuse,
-    capture_chain,
     chain_signature,
     fold_lastround,
     fuse_run,
     plan_profiles,
-    plan_trace,
 )
 from repro.gpu import GpuConfig, GpuEvaluator, GpuOpProfiler
 from repro.ntt.variants import get_variant
@@ -52,50 +51,19 @@ def _total_ops(profiles):
     return sum(p.work_items * p.nominal_ops_per_item for p in profiles)
 
 
-class TestTraceCapture:
-    def test_empty_trace(self):
-        trace = capture_chain([])
-        assert len(trace) == 0
-        assert trace.launches == 0
-        assert trace.edges() == []
-        plan = plan_trace(trace)
+class TestEmptyAndSingleChains:
+    def test_empty_chain(self):
+        plan = plan_profiles([])
         assert plan.profiles == ()
         assert plan.launches == 0
         assert plan.launches_saved == 0
 
     def test_single_kernel_chain(self):
-        trace = capture_chain([_elem()], op="add")
-        assert len(trace) == 1
-        assert trace.nodes[0].is_source and trace.nodes[0].is_sink
-        plan = plan_trace(trace)
-        assert len(plan.profiles) == 1
-        assert plan.profiles[0] == trace.nodes[0].profile  # unchanged
+        k = _elem()
+        plan = plan_profiles([k])
+        assert plan.profiles == (k,)  # unchanged
         assert plan.launches_saved == 0
         assert plan.elided_bytes == 0.0
-
-    def test_linear_edges(self):
-        trace = capture_chain([_elem(f"k{i}") for i in range(4)])
-        assert trace.edges() == [(0, 1), (1, 2), (2, 3)]
-        assert trace.nodes[0].is_source and not trace.nodes[0].is_sink
-        assert trace.nodes[3].is_sink and not trace.nodes[3].is_source
-
-    def test_recorder_accumulates(self):
-        rec = TraceRecorder()
-        rec.record("add", [_elem()] * 2)
-        rec.record("square", [_elem()] * 3, request_id="r1")
-        assert len(rec) == 2
-        assert rec.launches == 5
-        assert [t.op for t in rec] == ["add", "square"]
-        assert rec.traces[1].request_id == "r1"
-        rec.clear()
-        assert len(rec) == 0
-
-    def test_recorder_is_bounded(self):
-        rec = TraceRecorder(max_traces=3)
-        for i in range(5):
-            rec.record(f"op{i}", [_elem()])
-        assert len(rec) == 3
-        assert [t.op for t in rec] == ["op2", "op3", "op4"]  # oldest dropped
 
 
 class TestCompatibilityRules:
@@ -230,31 +198,64 @@ class TestPlanner:
         assert _total_cycles(plan.profiles) == \
             pytest.approx(_total_cycles(profs), rel=1e-12)
 
-    def test_plan_trace_respects_missing_edges(self):
-        """Compatible neighbours without a dataflow edge must not fuse."""
-        from repro.fusion import TraceNode
-
-        a, b = _elem("a"), _elem("b")
-        # Independent kernels (no producer/consumer edge between them).
-        trace = OpTrace(nodes=(TraceNode(0, a), TraceNode(1, b)))
-        plan = plan_trace(trace)
-        assert len(plan.profiles) == 2
-        assert plan.launches_saved == 0
-        # The same pair with the edge recorded fuses.
-        chained = plan_trace(capture_chain([a, b]))
-        assert len(chained.profiles) == 1
-        assert chained.launches_saved == 1
-
     def test_plan_flags_are_independent(self):
+        """The planner's two passes are independent: the NTT fold
+        touches only transform kernels, elementwise fusion only
+        elementwise ones."""
         profiler = GpuOpProfiler(4096, DEVICE2, GpuConfig(ntt_variant="naive"))
         profs = profiler.routine("MulLin", 3)
-        only_fold = plan_profiles(profs, fuse_elementwise=False)
-        only_elem = plan_profiles(profs, fold_ntt=False)
-        assert only_fold.launches < only_fold.raw_launches
+        folded = fold_lastround(profs)
+        assert sum(p.launches for p in folded) < sum(p.launches for p in profs)
         assert all(not isinstance(p, FusedKernelProfile) or p.ntt_class
-                   for p in only_fold.profiles)
-        assert only_elem.launches < only_elem.raw_launches
-        assert any(p.name.endswith(":lastround") for p in only_elem.profiles)
+                   for p in folded)
+        head = profiler.multiply(3)  # the chain's elementwise prefix
+        assert profs[:len(head)] == head
+        assert fold_lastround(head) == head
+        fused = fuse_run(head)
+        assert fused.launches == 1 < len(head)
+        assert not fused.ntt_class
+        assert not any(p.ntt_class for p in fused.parts)
+
+
+#: sha256 over ``(name, launches, work_items, global_bytes,
+#: lane_cycles_per_item)`` of every planned profile of the 1,140
+#: non-empty chains :func:`_pinned_chains` yields.  Recorded from the
+#: planner that also accepted producer/consumer op-graphs; a linear
+#: chain must plan to the same kernels bit for bit.
+PLAN_DIGEST = "55ba339a1bd6a15426149cd237e99ed7bfb2e8fc6882bf405d4015ae178f621f"
+
+
+def _pinned_chains():
+    ops = ("add", "multiply", "square", "relinearize", "rescale",
+           "mod_switch", "rotate")
+    routines = ("MulLin", "MulLinRS", "SqrLinRS", "MulLinRSModSwAdd",
+                "Rotate")
+    for device in (DEVICE1, DEVICE2):
+        for stage in ("naive", "opt-NTT+asm"):
+            for degree in (4096, 8192, 32768):
+                profiler = GpuOpProfiler(degree, device, GpuConfig.stage(stage))
+                for level in range(1, 9):
+                    for op in ops:
+                        yield getattr(profiler, op)(level)
+                    for name in routines:
+                        yield profiler.routine(name, level)
+
+
+class TestPlanDigest:
+    def test_planner_output_is_pinned(self):
+        digest = hashlib.sha256()
+        chains = 0
+        for chain in _pinned_chains():
+            if not chain:  # mod_switch at level 1 drops nothing
+                continue
+            chains += 1
+            for p in plan_profiles(chain).profiles:
+                digest.update(repr((p.name, p.launches, p.work_items,
+                                    p.global_bytes,
+                                    p.lane_cycles_per_item)).encode())
+            digest.update(b"|")
+        assert chains == 1140
+        assert digest.hexdigest() == PLAN_DIGEST
 
 
 class TestCrossRequestBatching:
@@ -343,28 +344,30 @@ class TestGpuEvaluatorBitExactness:
         assert gpu_on.submitted_launches < gpu_on.raw_launches
         assert gpu_on.launches_saved > 0
         assert gpu_off.launches_saved == 0
-        assert len(gpu_on.recorder) == 4  # one trace per operation
-        assert len(gpu_off.recorder) == 0  # capture only when fusing
 
-    def test_capture_traces_opt_out_keeps_memory_flat(self, ckks, rng):
+    @pytest.mark.parametrize("device,stage,device_time,launches", [
+        (DEVICE1, "naive", 0.006390282531194283, 1211),
+        (DEVICE1, "opt-NTT+asm", 0.0011875025760304104, 140),
+        (DEVICE2, "naive", 0.00901863065240642, 1211),
+        (DEVICE2, "opt-NTT+asm", 0.0023603002627960246, 140),
+    ])
+    def test_fused_timeline_is_pinned(self, ckks, rng, device, stage,
+                                      device_time, launches):
+        """Simulated time and submitted launches of a fixed op sequence,
+        recorded from the planner that also accepted op-graphs."""
         enc = ckks["encoder"]
-        ct = ckks["encryptor"].encrypt(enc.encode(rng.normal(size=enc.slots)))
-        gpu = GpuEvaluator(
-            ckks["evaluator"], DEVICE2,
-            GpuConfig(kernel_fusion=True), capture_traces=False)
-        gpu.add(ct, ct)
-        assert len(gpu.recorder) == 0  # fused but unrecorded
-        assert gpu.launches_saved > 0
-
-    def test_capture_traces_opt_in_without_fusion(self, ckks, rng):
-        enc = ckks["encoder"]
-        ct = ckks["encryptor"].encrypt(enc.encode(rng.normal(size=enc.slots)))
-        gpu = GpuEvaluator(
-            ckks["evaluator"], DEVICE2,
-            GpuConfig(kernel_fusion=False), capture_traces=True)
-        gpu.add(ct, ct)
-        assert len(gpu.recorder) == 1  # recorded raw chain, unfused
-        assert gpu.launches_saved == 0
+        ct_a = ckks["encryptor"].encrypt(enc.encode(rng.normal(size=enc.slots)))
+        ct_b = ckks["encryptor"].encrypt(enc.encode(rng.normal(size=enc.slots)))
+        rlk = ckks["relin"]
+        gpu = GpuEvaluator(ckks["evaluator"], device,
+                           replace(GpuConfig.stage(stage), kernel_fusion=True))
+        prod = gpu.rescale(gpu.relinearize(gpu.multiply(ct_a, ct_b), rlk))
+        sqr = gpu.rescale(gpu.relinearize(gpu.square(ct_a), rlk))
+        rot = gpu.rotate(gpu.add(prod, sqr), 1, ckks["galois"])
+        gpu.mod_switch_to_next(rot)
+        assert gpu.device_time == device_time
+        assert gpu.submitted_launches == launches
+        assert gpu.raw_launches == (1730 if stage == "naive" else 540)
 
 
 class TestServerFusion:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.modmath import Modulus, gen_ntt_prime, gen_ntt_primes
+from repro.modmath import Modulus, gen_ntt_prime, gen_ntt_primes, work_item_ops
 from repro.ntt import (
     VARIANTS,
     NTTEngine,
@@ -56,7 +56,8 @@ class TestEngine:
         b_int = [int(x) for x in RNG.integers(0, 50, n)]
         a = decompose_poly(a_int, base)
         b = decompose_poly(b_int, base)
-        got = engine.negacyclic_multiply(a, b)
+        prod = engine.dyadic_multiply(engine.forward(a), engine.forward(b))
+        got = engine.inverse(prod)
         for i, m in enumerate(base):
             expect = negacyclic_polymul_reference(a_int, b_int, m)
             assert [int(v) for v in got[i]] == expect
@@ -66,7 +67,7 @@ class TestEngine:
             [RNG.integers(0, base[i].value, 256, dtype=np.uint64) for i in range(2)]
         )
         out = engine.forward(mat)
-        sub = engine.subengine(2)
+        sub = NTTEngine(engine.degree, base.prefix(2))
         assert np.array_equal(out, sub.forward(mat))
 
     def test_rejects_bad_modulus(self):
@@ -186,15 +187,18 @@ class TestVariants:
         assert np.array_equal(got, expect), name
 
     def test_ops_per_round_match_table1(self):
-        assert VARIANTS["naive"].ops_per_work_item_round() == 48
-        assert VARIANTS["local-radix-4"].ops_per_work_item_round() == 157
-        assert VARIANTS["local-radix-8"].ops_per_work_item_round() == 456
-        assert VARIANTS["local-radix-16"].ops_per_work_item_round() == 1156
+        def ops(name):
+            return work_item_ops(VARIANTS[name].radix)
+
+        assert ops("naive") == 48
+        assert ops("local-radix-4") == 157
+        assert ops("local-radix-8") == 456
+        assert ops("local-radix-16") == 1156
 
     def test_asm_reduces_ops(self):
         for name in VARIANTS:
             v = VARIANTS[name]
-            assert v.with_asm().ops_per_work_item_round() < v.ops_per_work_item_round()
+            assert work_item_ops(v.radix, asm=True) < work_item_ops(v.radix)
 
     def test_work_items(self):
         assert VARIANTS["naive"].work_items(32768) == 16384
@@ -207,6 +211,9 @@ class TestVariants:
         assert r16 > 4 * r2  # radix-16 is register hungry (spill risk)
 
     def test_shuffle_ops_only_for_simd_variants(self):
-        assert VARIANTS["naive"].shuffle_ops(4096) == 0
-        assert VARIANTS["local-radix-8"].shuffle_ops(4096) == 0
-        assert VARIANTS["simd(8,8)"].shuffle_ops(4096) > 0
+        def shuffles(name):
+            return any(g.kind == "simd" for g in VARIANTS[name].schedule(4096))
+
+        assert not shuffles("naive")
+        assert not shuffles("local-radix-8")
+        assert shuffles("simd(8,8)")

@@ -90,7 +90,7 @@ def test_counter_gauge_basics():
     g = reg.gauge("t_gauge")
     g.set(4)
     g.inc()
-    g.dec(2)
+    g.inc(-2)
     assert g.value() == 3.0
 
 

@@ -205,7 +205,7 @@ class TestBaseConverter:
         out = conv.convert(mat)
         assert out.shape == (2, n)
         q = base.product
-        k = conv.overshoot_bound()
+        k = len(base)  # the input size bounds the overshoot
         for j, pj in enumerate(obase):
             for idx in range(n):
                 # out = (x + alpha*q) mod p_j with 0 <= alpha < k

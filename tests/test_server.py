@@ -185,7 +185,8 @@ class TestServerDispatch:
         a = rng.normal(size=enc.slots)
         b = rng.normal(size=enc.slots)
         heavy = client.submit_multiply(a, b, arrival_us=0.0)
-        light = client.submit_add(a, b, arrival_us=1.0)
+        light = client.submit("add", [client.encrypt(a), client.encrypt(b)],
+                              arrival_us=1.0)
         client.serve()
         rh, rl = client.response(heavy), client.response(light)
         assert rl.complete_us < rh.complete_us  # finished out of order
@@ -371,7 +372,8 @@ class TestArtifactInvalidation:
         client.serve()
         assert np.abs(client.result(r2).real - 1.0).max() < 1e-3
 
-        client.submit_rotate(v, 1, arrival_us=server.metrics.span_us + 1)
+        client.submit("rotate", [client.encrypt(v)], steps=1,
+                      arrival_us=server.metrics.span_us + 1)
         client.serve()
         assert "key:galois" in server.session.artifacts
         server.install_galois_keys(to_bytes(save_galois_keys, ckks["galois"]))
@@ -438,8 +440,10 @@ class TestServeOps:
         ids = {
             "square": client.submit_square(a, arrival_us=0.0),
             "multiply": client.submit_multiply(a, b, arrival_us=1.0),
-            "add": client.submit_add(a, b, arrival_us=2.0),
-            "rotate": client.submit_rotate(a, 2, arrival_us=3.0),
+            "add": client.submit("add", [client.encrypt(a), client.encrypt(b)],
+                                 arrival_us=2.0),
+            "rotate": client.submit("rotate", [client.encrypt(a)], steps=2,
+                                    arrival_us=3.0),
             "dot": client.submit_dot(a[:4], "w4", arrival_us=4.0),
         }
         client.serve()

@@ -113,7 +113,9 @@ class TestEndToEndServing:
                 rid = client.submit_square(v, arrival_us=float(i))
                 expected[rid] = v * v
             else:
-                rid = client.submit_add(v, v, arrival_us=float(i))
+                rid = client.submit(
+                    "add", [client.encrypt(v), client.encrypt(v)],
+                    arrival_us=float(i))
                 expected[rid] = v + v
         client.serve()
 

@@ -255,7 +255,8 @@ class TestMultiClientSessions:
         vb = rng.normal(size=slots)
         ra = alice.submit_square(va, arrival_us=0.0)
         rb = bob.submit_square(vb, arrival_us=1.0)
-        ra2 = alice.submit_rotate(va, 2, arrival_us=2.0)
+        ra2 = alice.submit("rotate", [alice.encrypt(va)], steps=2,
+                           arrival_us=2.0)
         server.drain()
 
         assert np.abs(alice.result(ra).real - va * va).max() < 1e-3
@@ -346,6 +347,31 @@ class TestMultiClientSessions:
             assert "mallory" not in server.sessions
             assert "client:mallory:key:relin" not in server.session.artifacts
 
+    def test_handshake_decodes_each_key_blob_once(self, session_server, ckks,
+                                                  monkeypatch):
+        """The handshake decodes each key blob once, validating and
+        installing the same objects."""
+        from repro.server import dispatcher as dispatcher_mod
+        from repro.server import sessions as sessions_mod
+
+        calls = {"relin": 0, "galois": 0}
+
+        def counted(kind, loader):
+            def load(stream):
+                calls[kind] += 1
+                return loader(stream)
+            return load
+
+        for mod in (sessions_mod, dispatcher_mod):
+            monkeypatch.setattr(mod, "load_relin_key", counted(
+                "relin", serialize.load_relin_key))
+            monkeypatch.setattr(mod, "load_galois_keys", counted(
+                "galois", serialize.load_galois_keys))
+        _tenant(session_server, ckks, 101, "alice")
+        assert calls == {"relin": 1, "galois": 1}
+        space = session_server.session._space("alice")
+        assert space.relin is not None and space.galois is not None
+
     def test_colon_client_id_rejected(self, session_server):
         """':' is the keyspace separator — crafted ids must not be able
         to collide with another tenant's cached artifacts."""
@@ -385,6 +411,7 @@ class TestMultiClientSessions:
         )
         client.open_session(relin_key=ckks["relin"])  # no galois
         v = rng.normal(size=ckks["encoder"].slots)
-        rid = client.submit_rotate(v, 2, arrival_us=0.0)
+        rid = client.submit("rotate", [client.encrypt(v)], steps=2,
+                            arrival_us=0.0)
         server.drain()
         assert np.abs(client.result(rid).real - np.roll(v, -2)).max() < 1e-3

@@ -359,7 +359,7 @@ def _pooled_overload_run(seed, *, workers, consumers=4, inject_failure=True):
     if inject_failure:
         # Mid-timeline: some of the fast device's work is in flight and
         # must be requeued onto the survivor, under pool evaluation.
-        server.inject_device_failure("Device1", 400.0)
+        server.dispatcher.fail_device("Device1", 400.0)
 
     seen = [[] for _ in range(consumers)]
 

@@ -32,7 +32,7 @@ class TestDeviceSpec:
     def test_geometry(self):
         assert DEVICE1.subslices_per_tile == 64
         assert DEVICE1.grf_bytes_per_lane() == 256
-        assert DEVICE1.eus_total == 1024
+        assert DEVICE1.eus_per_tile * DEVICE1.tiles == 1024
 
     def test_ipc_monotone_in_ilp(self):
         vals = [DEVICE1.ipc(i) for i in (1, 2, 4, 8)]
