@@ -10,7 +10,7 @@ A from-scratch Python implementation of the paper's XeHE system
   benchmarks (naive radix-2, staged SLM, SIMD shuffling, radix-4/8/16);
 * :mod:`repro.native` — runtime-compiled C kernel backend (fused
   stacked-NTT butterflies, dyadic/mad cores, divide-round tails) with
-  ``set_backend``/``REPRO_BACKEND`` selection and packed-NumPy fallback;
+  ``set_backend``/``REPRO_BACKEND`` selection and the serial fallback;
 * :mod:`repro.xesim` — an Intel-Xe-class GPU performance model with the
   paper's Device1 (dual-tile) and Device2 (single-tile) presets;
 * :mod:`repro.runtime` — a SYCL-like asynchronous runtime (queues,

@@ -36,7 +36,7 @@ Commands
 ``native``
     Build/inspect the compiled kernel backend (``repro.native``): print
     the resolved backend, compiler, and cache state; ``--build`` forces
-    a (re)compile; ``--self-test`` verifies native/packed/serial
+    a (re)compile; ``--self-test`` verifies native/serial
     bit-identicality at the paper shape (N=4096, level 8) plus a native
     speedup on the stacked NTT and, on hosts with >= 2 cpus, a 2-thread
     speedup on the fwd NTT and the ciphertext multiply; exits non-zero
@@ -209,9 +209,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     params = CkksParameters.default(degree=args.degree, levels=3,
                                     scale_bits=30, first_bits=50,
                                     special_bits=50)
-    context = CkksContext(params)
-    keygen = KeyGenerator(context, seed=args.seed)
-    encoder = CkksEncoder(context)
     admission = (AdmissionPolicy(rate_rps=args.admission_rate,
                                  burst=args.admission_burst,
                                  max_backlog=args.admission_backlog)
@@ -232,6 +229,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.listen is not None:
         return _serve_listen(args, server)
+    context = CkksContext(params)
+    keygen = KeyGenerator(context, seed=args.seed)
+    encoder = CkksEncoder(context)
     client = ServerClient(
         server,
         encoder=encoder,
@@ -467,7 +467,7 @@ def cmd_native(args: argparse.Namespace) -> int:
     if not args.self_test:
         return 0
 
-    # Three-way bit-identity at the acceptance shape, plus a timing probe.
+    # Bit-identity at the acceptance shape, plus a timing probe.
     from .core import CkksContext, CkksParameters, Evaluator
     from .core.ciphertext import Ciphertext
     from .ntt import NTTEngine
@@ -491,16 +491,14 @@ def cmd_native(args: argparse.Namespace) -> int:
     rs_in = Ciphertext(rand_ct(2).data, scale * scale)
     ev = Evaluator(context)
     outs = {}
-    for mode in ("native", "packed", "serial"):
+    for mode in ("native", "serial"):
         with native.use_backend(mode):
             outs[mode] = (ev.multiply(a, b).data, ev.rescale(rs_in).data)
     identical = all(
-        np.array_equal(x, y)
-        for mode in ("packed", "serial")
-        for x, y in zip(outs["native"], outs[mode])
+        np.array_equal(x, y) for x, y in zip(outs["native"], outs["serial"])
     )
     print(f"bit-identity         : "
-          f"{'native == packed == serial' if identical else 'MISMATCH'}")
+          f"{'native == serial' if identical else 'MISMATCH'}")
 
     base = RNSBase.from_values(gen_ntt_primes([30] + [23] * 7, 4096))
     engine = NTTEngine(4096, base)
@@ -519,11 +517,11 @@ def cmd_native(args: argparse.Namespace) -> int:
 
     with native.use_backend("native"):
         t_nat = med(lambda: engine.forward(x))
-    with native.use_backend("packed"):
-        t_pack = med(lambda: engine.forward(x))
-    speedup = t_pack / t_nat
-    print(f"stacked fwd NTT      : native {t_nat * 1e3:.3f} ms vs packed "
-          f"{t_pack * 1e3:.3f} ms ({speedup:.2f}x)")
+    with native.use_backend("serial"):
+        t_serial = med(lambda: engine.forward(x))
+    speedup = t_serial / t_nat
+    print(f"stacked fwd NTT      : native {t_nat * 1e3:.3f} ms vs serial "
+          f"{t_serial * 1e3:.3f} ms ({speedup:.2f}x)")
 
     # Cores-vs-throughput scaling probes: the fwd NTT and the ciphertext
     # multiply under 1, 2, ... kernel threads.  The multi-core floor only
@@ -717,7 +715,7 @@ def main(argv: list | None = None) -> int:
                        help="kernel worker threads (default: "
                             "REPRO_NATIVE_THREADS or cpu count)")
     p_nat.add_argument("--self-test", action="store_true",
-                       help="verify three-way bit-identicality and a "
+                       help="verify native/serial bit-identicality and a "
                             "native NTT speedup; nonzero exit on failure")
     p_nat.set_defaults(fn=cmd_native)
 

@@ -19,10 +19,10 @@ every dyadic op is a handful of whole-tensor calls over the full
 ``(size, level, N)`` stack (per-limb constants broadcast from stacked
 columns, Fig. 10's RNS-axis parallelism), and the key-switch
 decomposition batches all ``level * (level + 1)`` NTTs into stacked
-transforms.  Which implementation those calls run — compiled, packed
-NumPy, or the per-limb oracle — is the process-wide backend's kernel
-table (:func:`repro.native.backend.kernels`), never the evaluator's
-choice; the A/B suite (``tests/test_packed_ab.py``) holds the three
+transforms.  Which implementation those calls run — compiled, or the
+per-limb oracle — is the process-wide backend's kernel table
+(:func:`repro.native.backend.kernels`), never the evaluator's choice;
+the A/B suite (``tests/test_backend_ab.py``) holds the two
 bit-identical.
 """
 

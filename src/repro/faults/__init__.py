@@ -11,9 +11,8 @@ those one systematic surface:
   ``worker.execute`` (the evaluation pool), ``dispatcher.execute`` /
   ``dispatcher.device`` (batch execution / the device pool),
   ``native.kernel`` (compiled-kernel dispatch), ``native.build`` (the
-  toolchain), ``scratch.alloc`` (scratch-buffer allocation).  With no
-  plan installed every probe is one ``None`` check — the hot paths pay
-  nothing.
+  toolchain).  With no plan installed every probe is one ``None``
+  check — the hot paths pay nothing.
 * **A fault plan** — :class:`FaultPlan` arms faultpoints with
   :class:`FaultRule` entries: either an exact per-point hit schedule
   (``hits=(3, 7)`` fires on the 3rd and 7th check, exactly) or a seeded
@@ -70,7 +69,7 @@ FAULT_MODES = (
     "device_failure",    # dispatcher.device: one pool device dies
     "worker_crash",      # worker.execute: the worker thread dies, task requeued
     "worker_hang",       # worker.execute: the worker stalls `param` wall-seconds
-    "kernel_exception",  # dispatcher.execute / native.kernel / scratch.alloc
+    "kernel_exception",  # dispatcher.execute / native.kernel
     "corrupt_frame",     # wire.decode / net.frame: flip bytes before parsing
     "truncate_frame",    # wire.decode / net.frame: cut the frame short
     "drop_connection",   # net.frame: close the client socket mid-stream

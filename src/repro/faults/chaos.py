@@ -18,7 +18,7 @@ only way it can be asserted — by running it:
    every ``ok`` result bit-identical to the baseline; a bounded non-ok
    ratio; the watchdog observed the hang and requeued; the device
    failure requeued; the pool ends healthy with zero leaked threads;
-   the breaker degraded ``native -> packed`` and counted the fallback.
+   the breaker degraded ``native -> serial`` and counted the fallback.
 
 A separate one-shot *build drill* arms ``native.build``/``build_failure``
 and asserts the toolchain failure surfaces as the typed
@@ -102,7 +102,7 @@ def chaos_plan(cfg: ChaosConfig, *, native: bool) -> FaultPlan:
     ]
     if native:
         # Three scheduled native-kernel faults == the default breaker
-        # threshold: the third one trips native -> packed.
+        # threshold: the third one trips native -> serial.
         rules.append(FaultRule("native.kernel", "kernel_exception",
                                hits=(5, 10, 15), max_fires=3))
     return FaultPlan(rules, seed=cfg.seed)
@@ -329,8 +329,8 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> ChaosReport:
                  f"deduped={report.deduped}")
     if native_armed:
         report.check(
-            "breaker-degraded-native-to-packed",
-            report.breaker.get("degraded_to") == "packed"
+            "breaker-degraded-native-to-serial",
+            report.breaker.get("degraded_to") == "serial"
             and report.fallback_delta >= 1,
             f"breaker={report.breaker}, "
             f"fallback_delta={report.fallback_delta}",

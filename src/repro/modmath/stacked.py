@@ -2,31 +2,27 @@
 
 The paper treats the RNS dimension as a first-class axis of parallelism
 (Fig. 10): every prime's residue polynomial is independent work fed to
-the same kernel grid.  :class:`StackedModulus` realizes that on the NumPy
-backend.  It holds the per-limb modulus ``p``, the two Barrett ratio
-words, and the Harvey lazy bound ``2p`` as ``(k, 1)`` uint64 columns, so
-the elementwise kernels in :mod:`repro.modmath.ops` and
-:mod:`repro.modmath.barrett` — which only ever read ``modulus.u64`` /
-``modulus.ratio_hi`` / ``modulus.ratio_lo`` — broadcast the right
-constant onto the right residue row of a whole ``(..., k, n)`` stack in
-a single call.  One ``add_mod`` covers every limb of every ciphertext
-component instead of one small NumPy call per prime.
+the same kernel grid.  :class:`StackedModulus` is that limb stack as
+one object: the per-limb :class:`~repro.modmath.modulus.Modulus` values
+(which the serial table loops over row by row) plus their constants as
+``(k, 1)`` uint64 columns — the modulus ``p``, the two Barrett ratio
+words, the Harvey lazy bound ``2p`` and the ``2**64 mod p`` fold — which
+the native glue flattens once per instance for the compiled kernels.
 
-The convention throughout the packed path is that the **limb axis is the
-second-to-last axis** of every operand, matching the ``(size, level, N)``
-ciphertext layout; the column constants then broadcast row-wise with no
-reshaping at the call site.
+The convention throughout the stacked path is that the **limb axis is
+the second-to-last axis** of every operand, matching the
+``(size, level, N)`` ciphertext layout; the column constants then
+broadcast row-wise with no reshaping at the call site.
 
-Because the stacked path runs the *same* ufunc sequences as the scalar
-:class:`~repro.modmath.modulus.Modulus` path (only the shape of the
-constant changes), results are bit-identical to looping the per-limb
-kernels row by row; ``tests/test_packed_ab.py`` enforces this property.
+Both kernel tables compute the same canonical values as looping the
+per-limb kernels row by row; ``tests/test_backend_ab.py`` enforces this
+property.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -47,28 +43,25 @@ class StackedModulus:
         Barrett ratio words, and ``2p``.  With the default ``trailing=1``
         they are ``(k, 1)`` columns that broadcast across ``(..., k, n)``
         stacks whose limb axis is second-to-last.
+    c64, c64q_hi, c64q_lo:
+        ``2**64 mod p`` with its Harvey quotient split into 32-bit
+        halves, in the same shape: the native kernels reduce a 128-bit
+        value as ``Harvey(hi; W = 2**64 mod p)`` plus a 64-bit Barrett
+        of ``lo``.
     """
 
     __slots__ = (
         "moduli",
-        "_flat_p",
-        "_flat_rhi",
-        "_flat_rlo",
         "trailing",
         "u64",
         "ratio_hi",
         "ratio_lo",
-        "ratio_hi_hi",
-        "ratio_hi_lo",
-        "ratio_lo_hi",
-        "ratio_lo_lo",
         "two_p",
         "c64",
         "c64q_hi",
         "c64q_lo",
         "_prefixes",
         "_trailing_variants",
-        "_mat_cache",
         "_native_consts",
         "_lock",
     )
@@ -85,34 +78,15 @@ class StackedModulus:
         flat_rlo = np.array([m.const_ratio[1] for m in moduli], dtype=np.uint64)
         for arr in (flat_p, flat_rhi, flat_rlo):
             arr.setflags(write=False)
-        self._flat_p = flat_p
-        self._flat_rhi = flat_rhi
-        self._flat_rlo = flat_rlo
         self.trailing = trailing
         shape = (len(moduli),) + (1,) * trailing
         self.u64 = flat_p.reshape(shape)
         self.ratio_hi = flat_rhi.reshape(shape)
         self.ratio_lo = flat_rlo.reshape(shape)
-        # 32-bit halves of the ratio words (still uint64): the buffered
-        # packed kernels emulate 64x64 mulhi from these without spending
-        # two whole-array passes splitting a constant per call.
-        mask32 = np.uint64(0xFFFFFFFF)
-        shift32 = np.uint64(32)
-        for name, flat in (("ratio_hi", flat_rhi), ("ratio_lo", flat_rlo)):
-            hi = (flat >> shift32).reshape(shape)
-            lo = (flat & mask32).reshape(shape)
-            hi.setflags(write=False)
-            lo.setflags(write=False)
-            setattr(self, f"{name}_hi", hi)
-            setattr(self, f"{name}_lo", lo)
         # p < 2**61, so 2p never wraps uint64.
         two_p = (flat_p + flat_p).reshape(shape)
         two_p.setflags(write=False)
         self.two_p = two_p
-        # 2**64 mod p with its Harvey quotient halves: the buffered
-        # kernels reduce a 128-bit value as Harvey(hi; W=2**64 mod p)
-        # plus a 64-bit Barrett of lo — fewer passes than the two-round
-        # 128-bit Barrett, same exact canonical result.
         c64 = np.array(
             [(1 << 64) % m.value for m in moduli], dtype=np.uint64
         )
@@ -131,44 +105,12 @@ class StackedModulus:
         self.c64q_lo = c64q_lo
         self._prefixes: dict = {}
         self._trailing_variants: dict = {}
-        self._mat_cache: dict = {}
         #: Flat (k,) constant arrays for the native backend, built lazily
         #: by repro.native.glue and cached here (idempotent).
         self._native_consts = None
         #: Guards the derived-stack memos: concurrent evaluator lanes
         #: share StackedModulus instances through the table caches.
         self._lock = threading.Lock()
-
-    def materialized(self, n: int):
-        """Constants broadcast to full ``(k, n)`` arrays (memoized, tiny LRU).
-
-        A ``(k, 1)`` column operand defeats NumPy's inner-loop coalescing
-        (~2x per pass); the hot kernels grab these full-width copies
-        instead when the trailing axis is long enough to amortize them.
-        Returns a dict keyed by constant name.
-        """
-        cached = self._mat_cache.get(n)
-        if cached is None:
-            k = len(self.moduli)
-            cols = {
-                "p": self.u64, "two_p": self.two_p,
-                "rhi": self.ratio_hi,
-                "rhi_hi": self.ratio_hi_hi, "rhi_lo": self.ratio_hi_lo,
-                "c64": self.c64,
-                "c64q_hi": self.c64q_hi, "c64q_lo": self.c64q_lo,
-            }
-            cached = {}
-            for name, col in cols.items():
-                full = np.ascontiguousarray(
-                    np.broadcast_to(col.reshape(k, 1), (k, n))
-                )
-                full.setflags(write=False)
-                cached[name] = full
-            with self._lock:
-                if len(self._mat_cache) >= 2:
-                    self._mat_cache.clear()
-                self._mat_cache[n] = cached
-        return cached
 
     # -- construction ---------------------------------------------------------
 

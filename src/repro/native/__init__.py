@@ -3,10 +3,9 @@
 The paper's core claim is that HE throughput is decided by fused
 kernels: a whole NTT stage chain — load, twiddle multiply, lazy Harvey
 reduction, add/sub, store — executed in one pass over the data, rather
-than one memory sweep per primitive op.  The packed NumPy path (PR 3)
-hit exactly that wall: every Harvey/Barrett step is a separate
-full-array traversal, so multiply and rescale sat at NumPy's per-pass
-cost floor.
+than one memory sweep per primitive op.  A NumPy implementation hits
+exactly that wall: every Harvey/Barrett step is a separate full-array
+traversal, so multiply and rescale sit at NumPy's per-pass cost floor.
 
 ``repro.native`` breaks the floor.  Small C sources ship in-tree
 (``csrc/kernels.c``), are compiled on first use with the system ``cc``
@@ -30,14 +29,14 @@ comes from ``REPRO_NATIVE_THREADS`` / :func:`set_threads` /
 thread count never changes outputs (the A/B suite pins 1-thread vs
 N-thread bit-identical).
 
-Outputs are bit-identical to the packed and per-limb paths — same
-canonical values, same lazy windows — enforced by the three-way A/B
-suite in ``tests/test_packed_ab.py``.
+Outputs are bit-identical to the per-limb serial oracle — same canonical
+values, same lazy windows — enforced by the A/B suite in
+``tests/test_backend_ab.py``.
 
 Backend selection (:mod:`repro.native.backend`): ``set_backend("native"
-| "packed" | "serial" | "auto")``, the ``REPRO_BACKEND`` env var, or
-auto-detection (native when a toolchain is present, with a single logged
-fallback otherwise).  The selection names one kernel table
+| "serial" | "auto")``, the ``REPRO_BACKEND`` env var, or auto-detection
+(native when a toolchain is present, with a single logged fallback to
+serial otherwise).  The selection names one kernel table
 (:mod:`repro.native.tables`) that every stacked entry point reads
 through :func:`repro.native.backend.kernels`, so ``Evaluator``,
 ``GpuEvaluator``, and the whole serving stack inherit the fast path

@@ -1,26 +1,23 @@
 """Backend selection for the hot numeric path.
 
-Three kernel tables (:mod:`repro.native.tables`) implement the same
+Two kernel tables (:mod:`repro.native.tables`) implement the same
 surface with bit-identical arithmetic; :func:`kernels` returns the
 selected one and is the only place the selection is read:
 
 ``native``
     Runtime-compiled C kernels (fused stacked-NTT butterflies, dyadic
-    cores, divide-round tails) loaded via ctypes — the fastest path.
-``packed``
-    The packed-RNS NumPy kernels (:mod:`repro.modmath.packedops`,
-    stacked NTT): whole ``(size, level, N)`` stacks per ufunc pass.
+    cores, divide-round tails) loaded via ctypes — the fast path.
 ``serial``
-    Row loops over the scalar-modulus reference kernels, retained as
-    the oracle.
+    Row loops over the scalar-modulus reference kernels: the oracle,
+    and the fallback on a host without a C toolchain.
 
 Selection precedence:
 
 1. an explicit :func:`set_backend` call;
 2. the ``REPRO_BACKEND`` environment variable
-   (``native|packed|serial|auto``);
+   (``native|serial|auto``);
 3. auto-detection: ``native`` when the kernel library builds/loads,
-   otherwise ``packed`` (the library layer logs the fallback once).
+   otherwise ``serial`` (the library layer logs the fallback once).
 
 ``set_backend("native")`` *raises* :class:`BackendUnavailableError` when
 no toolchain or cached library is usable — an explicit request must not
@@ -46,7 +43,7 @@ __all__ = [
 
 logger = logging.getLogger("repro.native")
 
-BACKENDS = ("native", "packed", "serial")
+BACKENDS = ("native", "serial")
 _AUTO = "auto"
 
 _LOCK = threading.RLock()
@@ -83,7 +80,7 @@ def _resolve_locked() -> str:
                     "%s or 'auto')", env, "|".join(BACKENDS),
                 )
     if choice is None:  # auto-detect
-        return "native" if _native_available() else "packed"
+        return "native" if _native_available() else "serial"
     if choice == "native" and not _native_available():
         # set_backend already verified availability, so this is the env
         # path: degrade once, loudly (glue logged the root cause).  The
@@ -93,12 +90,12 @@ def _resolve_locked() -> str:
             _DEGRADE_WARNED = True
             logger.warning(
                 "%s requested the native backend but it is unavailable; "
-                "using the packed NumPy backend", source,
+                "using the serial backend", source,
             )
             from . import glue
 
             glue.note_fallback()
-        return "packed"
+        return "serial"
     return choice
 
 
@@ -192,9 +189,9 @@ def invalidate() -> None:
 # Repeated faults inside the compiled kernels (real crashes would take
 # the process down, so in practice these are the injected faults of
 # repro.faults plus any per-call glue failure) trip a breaker that
-# *downgrades* the backend one tier — native -> packed -> serial — at
-# runtime.  All three tiers are bit-identical, so degradation trades
-# speed for stability without changing a single result.
+# *downgrades* the backend from native to serial at runtime.  Both
+# tables are bit-identical, so degradation trades speed for stability
+# without changing a single result.
 
 _BREAKER_FAULTS = 0        # consecutive kernel faults since last trip/reset
 _BREAKER_DEGRADED: Optional[str] = None   # tier the breaker moved to
@@ -219,8 +216,8 @@ def note_kernel_fault(reason: str = "") -> Optional[str]:
 
     Returns the tier degraded to when the breaker tripped on this call,
     else ``None``.  Called by the glue layer when a native kernel call
-    faults (the caller then falls back to NumPy for that one call, so a
-    single fault costs a pass, not correctness).
+    faults (the caller then falls back to the serial body for that one
+    call, so a single fault costs time, not correctness).
     """
     global _BREAKER_FAULTS
     with _LOCK:
@@ -232,40 +229,36 @@ def note_kernel_fault(reason: str = "") -> Optional[str]:
 
 
 def degrade(*, reason: str = "") -> str:
-    """Downgrade the backend one tier; returns the new tier.
+    """Downgrade the backend to ``serial``; returns the new tier.
 
-    ``native -> packed`` counts in ``repro_native_fallback_total`` (the
-    same counter every other native downgrade uses); every trip counts
-    in ``repro_backend_degraded_total``.  Already at ``serial`` this is
-    a no-op.
+    ``native -> serial`` counts in ``repro_native_fallback_total`` (the
+    same counter every other native downgrade uses) and in
+    ``repro_backend_degraded_total``.  Already at ``serial`` this is a
+    no-op.
     """
     global _EXPLICIT, _TABLE, _BREAKER_FAULTS, _BREAKER_DEGRADED
     with _LOCK:
         current = _TABLE.name if _TABLE is not None else _resolve_locked()
-        if current == "serial":
-            _BREAKER_FAULTS = 0
-            return "serial"
-        nxt = "packed" if current == "native" else "serial"
-        _EXPLICIT = nxt
-        _TABLE = None
-        _BREAKER_DEGRADED = nxt
         _BREAKER_FAULTS = 0
+        if current == "serial":
+            return "serial"
+        _EXPLICIT = _BREAKER_DEGRADED = "serial"
+        _TABLE = None
     logger.warning(
-        "backend circuit breaker: degrading %s -> %s%s",
-        current, nxt, f" ({reason})" if reason else "",
+        "backend circuit breaker: degrading native -> serial%s",
+        f" ({reason})" if reason else "",
     )
-    if current == "native":
-        from . import glue
+    from . import glue
 
-        glue.note_fallback()
+    glue.note_fallback()
     from ..obs import metrics as obs_metrics
 
     obs_metrics.get_registry().counter(
         "repro_backend_degraded_total",
         "Circuit-breaker backend downgrades after repeated kernel faults.",
-        labels={"from": current, "to": nxt},
+        labels={"from": "native", "to": "serial"},
     ).inc()
-    return nxt
+    return "serial"
 
 
 def breaker_state() -> dict:

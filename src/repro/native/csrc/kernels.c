@@ -2,12 +2,12 @@
  *
  * Compiled on first use by repro/native/build.py with the system C
  * compiler into a cached shared library and driven through ctypes.
- * Every function is the single-memory-pass counterpart of a NumPy
- * kernel in repro.modmath.packedops / repro.ntt.radix2: instead of one
- * full-array traversal per primitive ufunc (~20-45 passes per modular
- * op on the packed path), each element is loaded once, carried through
- * the whole Harvey/Barrett arithmetic chain in registers, and stored
- * once.  The paper's fused-butterfly argument (Sec. III-B) applied to
+ * Every function is the single-memory-pass counterpart of a serial
+ * oracle kernel (repro.native.tables.SERIAL, over repro.modmath.ops /
+ * barrett and repro.ntt.radix2): instead of one full-array traversal
+ * per primitive ufunc (~20-45 passes per modular op in NumPy), each
+ * element is loaded once, carried through the whole Harvey/Barrett
+ * arithmetic chain in registers, and stored once.  The paper's fused-butterfly argument (Sec. III-B) applied to
  * the CPU backend.
  *
  * Threading: every kernel decomposes into independent (batch, limb)
@@ -21,13 +21,13 @@
  * finds the pool busy (concurrent server workers) computes its call
  * inline rather than queueing behind the other region.
  *
- * Bit-identicality contract: all outputs equal the packed-NumPy path's
+ * Bit-identicality contract: all outputs equal the serial oracle's
  * outputs exactly — same canonical values, same lazy-reduction windows
  * ([0, 4p) forward NTT, [0, 2p) inverse, canonical [0, p) elsewhere).
- * The arithmetic below mirrors the NumPy sequences value-for-value
- * (64-bit operations wrap mod 2**64, 128-bit intermediates wrap mod
- * 2**128, exactly like the emulated uint128 path), so equality is
- * structural, and tests/test_packed_ab.py enforces it per element.
+ * The arithmetic below uses exact modular identities (64-bit operations
+ * wrap mod 2**64, 128-bit intermediates wrap mod 2**128, exactly like
+ * the emulated uint128 path) and the oracle's butterfly sequences, and
+ * tests/test_backend_ab.py enforces equality per element.
  *
  * Layout conventions (all arrays C-contiguous uint64):
  *   - data tensors are (rows, k, n): `rows` flattened leading axes,
@@ -82,7 +82,7 @@ static inline u64 barrett64(u64 x, u64 p, u64 rhi) {
 
 /* Canonical (hi*2^64 + lo) mod p: Harvey(hi; 2^64 mod p) + Barrett64(lo),
  * both lazy in [0, 2p), folded with two conditional subtracts — the same
- * value sequence as packedops._reduce128_into. */
+ * canonical value as the serial oracle's two-round barrett_reduce_128. */
 static inline u64 reduce128(u64 hi, u64 lo, u64 p, u64 two_p,
                             u64 rhi, u64 c64, u64 c64q) {
     u64 t1 = c64 * hi - mulhi(c64q, hi) * p;
@@ -382,7 +382,7 @@ EXPORT void repro_ntt_inverse(u64 *x, i64 batch, i64 k, i64 n,
  * q_i.  Output is (level, level+1, n): out[i, r] = NTT_r(Barrett_r(
  * iNTT_i(poly[i]))) over the target rows (current primes + special
  * prime) — the hoisting-shared half of _switch_key, without the two
- * full-size intermediate tensors the three-call packed path writes.
+ * full-size intermediate tensors the three-call serial path writes.
  * Source primes are independent, so the pool splits on i.  Scratch-free:
  * out[i, 0] holds the canonical iNTT while rows 1.. are produced, then
  * reduces/transforms itself in place.
@@ -741,7 +741,7 @@ EXPORT void repro_mul_operand(const u64 *x, u64 *out,
 }
 
 /* The divide-round tail: w*(m - r) mod p with r lazy in [0, 4p) —
- * one pass over the data instead of packedops' ~12. */
+ * one pass over the data instead of the serial oracle's ~12. */
 ROW_JOB(lazy_diff_mul_operand, {
     const u64 w = C->w[j], wq = C->wq[j];
     const u64 p = C->p[j], four_p = C->two_p[j] * 2;

@@ -1,15 +1,15 @@
-"""ctypes bridge between the stacked NumPy kernels and the compiled library.
+"""ctypes bridge between the stacked kernel entry points and the compiled library.
 
 :data:`KERNELS` maps each ``KernelTable`` field to its native caller.
 Twelve callers are generated, one per :class:`_RowKernel` declaration in
 :data:`_ROW_KERNELS`, which also yields their ctypes argtypes; the two
 NTTs, ``ks_decompose`` and ``scaler_tail`` are written out by hand.
-Every caller takes the same operands as its packed-NumPy counterpart
-(arrays plus a ``StackedModulus`` / ``StackedNTTTables``-shaped object,
+Every caller takes the same operands as its serial counterpart (arrays
+plus a ``StackedModulus`` / ``StackedNTTTables``-shaped object,
 duck-typed so this module imports nothing from :mod:`repro.modmath`) and
-returns either the finished uint64 array — bit-identical to the NumPy
-path — or ``None`` when the call is ineligible (no library, limb axis
-mismatch), in which case the caller falls through to NumPy.
+returns either the finished uint64 array — bit-identical to the serial
+oracle — or ``None`` when the call is ineligible (no library, limb axis
+mismatch), in which case the caller falls through to the serial body.
 
 Loading is memoized with *fall-back-once* semantics: the first failure
 (no toolchain, compile error, disabled via ``REPRO_NATIVE_DISABLE``)
@@ -74,7 +74,7 @@ def note_fallback() -> None:
     _FALLBACKS += 1
     obs_metrics.get_registry().counter(
         "repro_native_fallback_total",
-        "Backend downgrades from native to the NumPy paths.",
+        "Backend downgrades from native to the serial path.",
     ).inc()
 
 
@@ -85,19 +85,19 @@ def fallback_count() -> int:
 _FP_KERNEL = _faults.faultpoint(
     "native.kernel",
     "Entry of every fused native kernel glue call (setup eligibility "
-    "checks); kernel_exception forces the per-call NumPy fallback and "
+    "checks); kernel_exception forces the per-call serial fallback and "
     "feeds the backend circuit breaker, slow_execution stalls the call.",
 )
 
 
 def _kernel_fault() -> bool:
-    """Check the ``native.kernel`` faultpoint; True = fall back to NumPy.
+    """Check the ``native.kernel`` faultpoint; True = fall back to serial.
 
     A ``kernel_exception`` injection never raises here: a real in-kernel
     failure would surface as a bad return, and the glue contract is
-    "``None`` means take the NumPy path" — so the injected fault counts
+    "``None`` means take the serial body" — so the injected fault counts
     against the backend circuit breaker (possibly tripping the
-    native -> packed downgrade) and the call degrades, bit-identically.
+    native -> serial downgrade) and the call degrades, bit-identically.
     ``slow_execution`` stalls the call on wall time and proceeds.
     """
     event = _faults.check(_FP_KERNEL)
@@ -121,7 +121,7 @@ def register_metrics(registry: Optional[obs_metrics.MetricsRegistry] = None) -> 
     reg = registry or obs_metrics.get_registry()
     reg.counter(
         "repro_native_fallback_total",
-        "Backend downgrades from native to the NumPy paths.",
+        "Backend downgrades from native to the serial path.",
         fn=lambda: float(_FALLBACKS),
     )
     reg.gauge(
@@ -271,7 +271,7 @@ def load() -> Optional[ctypes.CDLL]:
             _FAIL_REASON = str(exc)
             logger.warning(
                 "native kernel backend unavailable (%s); "
-                "falling back to the packed NumPy path", _FAIL_REASON,
+                "falling back to the serial path", _FAIL_REASON,
             )
             note_fallback()
             return None
@@ -430,7 +430,7 @@ def _lib() -> Optional[ctypes.CDLL]:
 def _setup(st, *operands):
     """(lib, arrays, shape, dims, consts) or None when ineligible."""
     if getattr(st, "trailing", 1) != 1:
-        return None  # non-standard limb-axis placement: NumPy handles it
+        return None  # non-standard limb-axis placement: serial handles it
     lib = _lib()
     if lib is None:
         return None
@@ -448,7 +448,7 @@ def _setup(st, *operands):
 
 
 def _row_caller(spec: _RowKernel):
-    """The caller for one declared row kernel: the packed body's arguments
+    """The caller for one declared row kernel: the serial body's arguments
     (``spec.inputs`` arrays, ``w, wq_hi, wq_lo`` when ``spec.operand``,
     the stack) in; ``None`` or the ``(outputs,) + shape`` result out."""
     symbol, inputs, outputs, consts, operand = spec
@@ -571,7 +571,7 @@ def ks_decompose(poly_ntt, inv_tables, fwd_tables):
     the source-prime tables (``stacked_tables.prefix(level)``) and
     ``fwd_tables`` the target-row tables (current primes + special
     prime, ``level + 1`` rows).  Returns the ``(level, level + 1, n)``
-    decomposition, bit-identical to the three-call packed sequence
+    decomposition, bit-identical to the three-call serial sequence
     ``ntt_forward(barrett64(ntt_inverse(poly)))``, or None when
     ineligible.
     """
@@ -603,7 +603,7 @@ def ks_decompose(poly_ntt, inv_tables, fwd_tables):
     return out
 
 
-#: ``KernelTable`` field -> native caller (``None`` = take the packed body).
+#: ``KernelTable`` field -> native caller (``None`` = take the serial body).
 KERNELS = {field: _row_caller(spec) for field, spec in _ROW_KERNELS.items()}
 KERNELS.update(ntt_forward=ntt_forward, ntt_inverse=ntt_inverse,
                ks_decompose=ks_decompose, scaler_tail=scaler_tail)

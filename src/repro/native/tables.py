@@ -1,4 +1,4 @@
-"""The three kernel tables behind :func:`repro.native.backend.kernels`.
+"""The two kernel tables behind :func:`repro.native.backend.kernels`.
 
 Every stacked entry point — ``add/sub/neg/mul/mad_mod`` and the Barrett
 reductions on a ``StackedModulus``, the tensor products, the constant-
@@ -6,20 +6,18 @@ operand multiplies, the stacked NTTs, the key-switch decompose and the
 scaler tail — reads its implementation from one :class:`KernelTable`.
 The tables share one surface and one set of output values:
 
-``PACKED``
-    The whole-tensor NumPy bodies (:mod:`repro.modmath.packedops`, the
-    buffered stacked NTT).  The two composites (``ks_decompose``,
-    ``scaler_tail``) are plain sequences of stacked entry points.
 ``NATIVE``
     Each entry offers the call to the compiled library
-    (:mod:`repro.native.glue`) and falls through to the packed body when
+    (:mod:`repro.native.glue`) and falls through to the serial body when
     the glue declines it (``None``: no library, ineligible shape, or an
     injected kernel fault).
 ``SERIAL``
     The per-limb oracle: a row loop over the scalar-``Modulus``
     reference kernels, with the textbook tensor-product cross term
     ``add(mul(a0, b1), mul(a1, b0))``, row-by-row transforms, and the
-    canonical ``mul(sub(m, reduce(r)), d^-1)`` divide-round tail.
+    canonical ``mul(sub(m, reduce(r)), d^-1)`` divide-round tail.  The
+    two composites (``ks_decompose``, ``scaler_tail``) are plain
+    sequences of stacked entry points.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..modmath import barrett, ops, packedops
+from ..modmath import barrett, ops
 from ..modmath.harvey import reduce_from_lazy
 from ..ntt import radix2
 from . import glue
 
-__all__ = ["KernelTable", "PACKED", "NATIVE", "SERIAL", "TABLES"]
+__all__ = ["KernelTable", "NATIVE", "SERIAL", "TABLES"]
 
 
 class KernelTable(NamedTuple):
@@ -95,47 +93,6 @@ def _scaler_tail_unfused(matrix, half_d, kept_st, inv_d, inv_d_quot, d_mod):
     )
     diff = ops.sub_mod(matrix[:-1], r, kept_st)
     return ops.mul_mod(diff, inv_d[:, None], kept_st)
-
-
-PACKED = KernelTable(
-    name="packed",
-    add_mod=packedops.add_mod_stacked,
-    sub_mod=packedops.sub_mod_stacked,
-    neg_mod=packedops.neg_mod_stacked,
-    conditional_sub=packedops.conditional_sub_stacked,
-    barrett_reduce_64=packedops.barrett_reduce_64_stacked,
-    barrett_reduce_128=packedops.barrett_reduce_128_stacked,
-    mul_mod=packedops.mul_mod_stacked,
-    mad_mod=packedops.mad_mod_stacked,
-    dyadic_product=packedops.dyadic_product_stacked,
-    dyadic_square=packedops.dyadic_square_stacked,
-    mul_operand=packedops.mul_mod_operand_stacked,
-    lazy_diff_mul_operand=packedops.lazy_diff_mul_operand_stacked,
-    ntt_forward=radix2.ntt_forward_packed,
-    ntt_inverse=radix2.ntt_inverse_packed,
-    ks_decompose=_ks_decompose_unfused,
-    scaler_tail=_scaler_tail_unfused,
-)
-
-
-# -- native: glue call first, packed body on None -----------------------------
-
-
-def _native_first(field: str) -> Callable:
-    native_fn = glue.KERNELS[field]
-    packed_fn = getattr(PACKED, field)
-
-    def kernel(*args, **kwargs):
-        out = native_fn(*args, **kwargs)
-        if out is None:
-            return packed_fn(*args, **kwargs)
-        return out
-
-    kernel.__name__ = kernel.__qualname__ = f"native_{field}"
-    return kernel
-
-
-NATIVE = KernelTable("native", *map(_native_first, KernelTable._fields[1:]))
 
 
 # -- serial: row loops over the scalar-Modulus reference kernels --------------
@@ -225,4 +182,25 @@ SERIAL = KernelTable(
     scaler_tail=_scaler_tail_unfused,
 )
 
-TABLES = {table.name: table for table in (NATIVE, PACKED, SERIAL)}
+
+# -- native: glue call first, serial body on None -----------------------------
+
+
+def _native_first(field: str) -> Callable:
+    native_fn = glue.KERNELS[field]
+    serial_fn = getattr(SERIAL, field)
+
+    def kernel(*args, **kwargs):
+        out = native_fn(*args, **kwargs)
+        if out is None:
+            return serial_fn(*args, **kwargs)
+        return out
+
+    kernel.__name__ = kernel.__qualname__ = f"native_{field}"
+    return kernel
+
+
+NATIVE = KernelTable("native", *map(_native_first, KernelTable._fields[1:]))
+
+
+TABLES = {table.name: table for table in (NATIVE, SERIAL)}

@@ -7,8 +7,8 @@ embarrassing parallelism (Fig. 10); here they are NumPy axes of one
 stacked transform: the engine hands the whole stack to
 :func:`~repro.ntt.radix2.ntt_forward_stacked` /
 :func:`~repro.ntt.radix2.ntt_inverse_stacked`, which run the selected
-backend's kernel table (compiled, packed NumPy, or the row-by-row
-oracle — all bit-identical).
+backend's kernel table (compiled, or the row-by-row oracle — both
+bit-identical).
 """
 
 from __future__ import annotations

@@ -151,41 +151,30 @@ class StackedNTTTables:
     """Twiddle tables for a whole RNS base, stacked along a leading limb axis.
 
     The per-prime ``(n,)`` tables of :class:`NTTTables` become ``(k, n)``
-    matrices and the per-prime scalars become ``(k, 1)`` columns, so each
-    butterfly stage of the transform runs once across *all* primes (and
-    any ciphertext-component axes in front) instead of once per prime —
-    the paper's Fig. 10 RNS-axis parallelism on the NumPy backend.
+    matrices and the per-prime scalars become ``(k, 1)`` columns — the
+    layout the compiled stacked transforms read (:mod:`repro.native.glue`
+    flattens it once per instance) to run each butterfly stage across
+    *all* primes, the paper's Fig. 10 RNS-axis parallelism.  The serial
+    table transforms row by row from :attr:`tables`.
 
     Attributes
     ----------
+    tables:
+        The per-prime :class:`NTTTables`, in limb order.
     w, wq, iw, iwq:
         ``(k, n)`` forward/inverse twiddles and Harvey quotients.
-    wq_hi, wq_lo, iwq_hi, iwq_lo:
-        The Harvey quotients pre-split into 32-bit halves (kept in
-        uint64), so the stacked butterfly's emulated ``mulhi`` skips two
-        full-array passes per stage.
     modulus:
         The limbs as a :class:`StackedModulus` (``(k, 1)`` columns).
-    p3, two_p3:
-        ``(k, 1, 1)`` views of ``p`` / ``2p`` for the per-stage
-        ``(..., k, m, t)`` butterfly layout.
     ninv_w, ninv_q_hi, ninv_q_lo:
-        ``(k, 1)`` columns of the ``n^{-1}`` Harvey operand and split
-        quotient for the inverse transform's final scaling.
+        ``(k, 1)`` columns of the ``n^{-1}`` Harvey operand and its
+        quotient split into 32-bit halves, for the inverse transform's
+        final scaling.
     """
-
-    #: Materialize per-stage twiddle grids only while the whole residue
-    #: stack stays this small (elements): broadcasting a ``(k, m, 1)``
-    #: twiddle slice across a small trailing axis defeats NumPy's loop
-    #: coalescing (2-5x slower passes), but the materialized grids cost
-    #: ``3 * k * n/2`` words per stage, so huge stacks keep the views.
-    STAGE_CACHE_MAX_ELEMS = 65536
 
     __slots__ = (
         "degree", "tables", "modulus", "w", "wq", "iw", "iwq",
-        "wq_hi", "wq_lo", "iwq_hi", "iwq_lo",
-        "p3", "two_p3", "ninv_w", "ninv_q_hi", "ninv_q_lo",
-        "_prefixes", "_stage_cache", "_native_consts", "_lock",
+        "ninv_w", "ninv_q_hi", "ninv_q_lo",
+        "_prefixes", "_native_consts", "_lock",
     )
 
     def __init__(self, tables: Sequence[NTTTables]):
@@ -202,29 +191,19 @@ class StackedNTTTables:
         self.wq = np.stack([t.wq for t in tables])
         self.iw = np.stack([t.iw for t in tables])
         self.iwq = np.stack([t.iwq for t in tables])
-        mask32 = np.uint64(0xFFFFFFFF)
-        shift32 = np.uint64(32)
-        self.wq_hi = self.wq >> shift32
-        self.wq_lo = self.wq & mask32
-        self.iwq_hi = self.iwq >> shift32
-        self.iwq_lo = self.iwq & mask32
         k = len(tables)
-        self.p3 = self.modulus.u64.reshape(k, 1, 1)
-        self.two_p3 = self.modulus.two_p.reshape(k, 1, 1)
         self.ninv_w = np.array(
             [t.n_inv.operand for t in tables], dtype=np.uint64
         ).reshape(k, 1)
         ninv_q = np.array([t.n_inv.quotient for t in tables], dtype=np.uint64)
-        self.ninv_q_hi = (ninv_q >> shift32).reshape(k, 1)
-        self.ninv_q_lo = (ninv_q & mask32).reshape(k, 1)
+        self.ninv_q_hi = (ninv_q >> np.uint64(32)).reshape(k, 1)
+        self.ninv_q_lo = (ninv_q & np.uint64(0xFFFFFFFF)).reshape(k, 1)
         for arr in (
             self.w, self.wq, self.iw, self.iwq,
-            self.wq_hi, self.wq_lo, self.iwq_hi, self.iwq_lo,
             self.ninv_w, self.ninv_q_hi, self.ninv_q_lo,
         ):
             arr.setflags(write=False)
         self._prefixes: dict = {}
-        self._stage_cache: dict = {}
         #: Flat constant arrays for the native backend (repro.native.glue).
         self._native_consts = None
         #: Guards the per-instance memos: one tables object serves every
@@ -234,39 +213,7 @@ class StackedNTTTables:
     def __len__(self) -> int:
         return len(self.tables)
 
-    def stage_twiddles(self, m: int, *, forward: bool):
-        """``(w, wq_hi, wq_lo)`` for butterfly stage ``m``, shaped ``(k, m, t)``.
-
-        Small stacks get fully materialized contiguous grids (cached on
-        first use, see :data:`STAGE_CACHE_MAX_ELEMS`); large stacks get
-        broadcastable ``(k, m, 1)`` views of the same values.
-        """
-        key = (forward, m)
-        cached = self._stage_cache.get(key)
-        if cached is not None:
-            return cached
-        if forward:
-            srcs = (self.w, self.wq_hi, self.wq_lo)
-        else:
-            srcs = (self.iw, self.iwq_hi, self.iwq_lo)
-        views = tuple(a[:, m : 2 * m, None] for a in srcs)
-        k = len(self.tables)
-        if k * self.degree > self.STAGE_CACHE_MAX_ELEMS:
-            return views
-        t = self.degree // (2 * m)
-        grids = tuple(
-            np.ascontiguousarray(np.broadcast_to(v, (k, m, t))) for v in views
-        )
-        for g in grids:
-            g.setflags(write=False)
-        with self._lock:
-            grids = self._stage_cache.setdefault(key, grids)
-        return grids
-
-    _VIEW_ATTRS = (
-        "w", "wq", "iw", "iwq", "wq_hi", "wq_lo", "iwq_hi", "iwq_lo",
-        "p3", "two_p3", "ninv_w", "ninv_q_hi", "ninv_q_lo",
-    )
+    _VIEW_ATTRS = ("w", "wq", "iw", "iwq", "ninv_w", "ninv_q_hi", "ninv_q_lo")
 
     def prefix(self, rows: int) -> "StackedNTTTables":
         """Tables for the first ``rows`` limbs (memoized leading-axis views).
@@ -287,7 +234,6 @@ class StackedNTTTables:
             for name in self._VIEW_ATTRS:
                 setattr(cached, name, getattr(self, name)[:rows])
             cached._prefixes = {}
-            cached._stage_cache = {}
             cached._native_consts = None
             cached._lock = threading.Lock()
             with self._lock:

@@ -14,8 +14,8 @@ instrument itself without import cycles:
 * :mod:`repro.obs.metrics` — a process-global :class:`MetricsRegistry`
   of typed counters/gauges/histograms (fixed, deterministic buckets)
   with Prometheus text-format and JSON snapshot exporters.  The server,
-  admission gate, worker pool, socket front end, scratch registries and
-  NTT table caches all register pull views of their live state here;
+  admission gate, worker pool, socket front end, NTT table caches and
+  native backend all register pull views of their live state here;
   ``HEServer.metrics_snapshot()`` and ``python -m repro metrics`` render it.
 
 The nearest-rank :func:`percentile` ``ServerMetrics`` uses lives in
@@ -74,10 +74,9 @@ __all__ = [
 def register_process_metrics(registry=None):
     """(Re-)register the process-global pull gauges into ``registry``.
 
-    The scratch registries (:mod:`repro.modmath.packedops`,
-    :mod:`repro.ntt.radix2`), the NTT table caches
-    (:mod:`repro.ntt.tables`) and the native backend
-    (:mod:`repro.native.glue`) register themselves into the *default*
+    The NTT table caches (:mod:`repro.ntt.tables`), the native backend
+    (:mod:`repro.native.glue`) and the fault injector
+    (:mod:`repro.faults`) register themselves into the *default*
     registry when they are created/imported; a caller exporting through
     a private :class:`MetricsRegistry` (e.g. a test, or a server built
     with ``registry=...``) calls this to pull the same series there.
@@ -85,12 +84,9 @@ def register_process_metrics(registry=None):
     """
     reg = registry or get_registry()
     from .. import faults
-    from ..modmath import packedops
     from ..native import glue
-    from ..ntt import radix2, tables
+    from ..ntt import tables
 
-    packedops._SCRATCH.register_metrics(reg)
-    radix2._SCRATCH.register_metrics(reg)
     tables.register_metrics(reg)
     glue.register_metrics(reg)
     faults.register_metrics(reg)

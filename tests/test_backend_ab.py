@@ -1,21 +1,20 @@
-"""A/B property suite: all execution backends are bit-identical.
+"""A/B property suite: both execution backends are bit-identical.
 
 Every layer (stacked modmath kernels, stacked NTT, evaluator /
 encryptor / decryptor, rns converters) is written once against the
 stacked kernel entry points; the backend's kernel table decides what
-runs.  One object is driven under ``use_backend("packed")`` and
-``use_backend("serial")`` and must produce the exact same uint64
-outputs — same values, same lazy-reduction windows.  Hypothesis drives
-random moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and
-both laziness modes through every layer; a deterministic heavyweight
-case pins the paper-shaped N=4096, level-8 stack.
+runs.  One object is driven under ``use_backend("native")`` — the
+compiled kernels of :mod:`repro.native` — and ``use_backend("serial")``
+— the per-limb oracle — and must produce the exact same uint64 outputs:
+same values, same lazy-reduction windows.  Hypothesis drives random
+moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and both
+laziness modes through every layer; deterministic heavyweight cases pin
+the paper-shaped N=4096, level-8 stack, and the threaded cases pin
+1-thread vs N-thread native runs.
 
-The ``test_native_*`` cases extend the suite to a **three-way** check:
-the compiled kernel backend (:mod:`repro.native`) against both the
-packed-NumPy path and the per-limb serial oracle, over the same random
-moduli / level / degree / laziness space.  When no C toolchain is
-usable, the native legs *skip* visibly (they must not silently pass as
-two-way checks).
+Every case needs the native leg, so without a usable C toolchain the
+whole module *skips* visibly (it must not silently pass as a serial
+self-comparison).
 """
 
 import numpy as np
@@ -26,10 +25,8 @@ from hypothesis import strategies as st
 from repro import native as repro_native
 from repro.native import use_backend, use_threads
 
-NATIVE_AVAILABLE = repro_native.available()
-
-needs_native = pytest.mark.skipif(
-    not NATIVE_AVAILABLE,
+pytestmark = pytest.mark.skipif(
+    not repro_native.available(),
     reason="no usable C toolchain: native backend leg skipped "
            f"({repro_native.availability_error()})",
 )
@@ -157,17 +154,6 @@ def _modmath_case(seed, k, n):
     return run_all, per_limb
 
 
-def _assert_modmath_identical(seed, k, n, backends):
-    run_all, per_limb = _modmath_case(seed, k, n)
-    results = {name: _under(name, run_all) for name in backends}
-    first = results[backends[0]]
-    for backend in backends[1:]:
-        for name, want in first.items():
-            assert np.array_equal(results[backend][name], want), (backend, name)
-    for name, rows in per_limb.items():
-        assert np.array_equal(first[name], np.stack(rows)), name
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -175,7 +161,14 @@ def _assert_modmath_identical(seed, k, n, backends):
     n=st.sampled_from([1, 7, 64, 300]),
 )
 def test_stacked_modmath_matches_per_limb(seed, k, n):
-    _assert_modmath_identical(seed, k, n, ("packed", "serial"))
+    """Native == serial == per-limb for every elementwise table entry."""
+    run_all, per_limb = _modmath_case(seed, k, n)
+    got_native = _under("native", run_all)
+    got_serial = _under("serial", run_all)
+    for name, want in got_serial.items():
+        assert np.array_equal(got_native[name], want), name
+    for name, rows in per_limb.items():
+        assert np.array_equal(got_native[name], np.stack(rows)), name
 
 
 @settings(max_examples=10, deadline=None)
@@ -193,7 +186,7 @@ def test_stacked_modmath_broadcast_shapes(seed, k):
     col = np.array(
         [rng.integers(0, m.value) for m in mods], dtype=np.uint64
     )[:, None]
-    for backend in ("packed", "serial"):
+    for backend in ("native", "serial"):
         got = _under(backend, lambda: mul_mod(a, col, stacked))
         for comp in range(3):
             for i in range(k):
@@ -220,15 +213,15 @@ def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
 
-    fwd_p = _under("packed", lambda: engine.forward(x, lazy=lazy))
+    fwd_n = _under("native", lambda: engine.forward(x, lazy=lazy))
     fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
-    assert np.array_equal(fwd_p, fwd_s)
-    # Inverse consumes the lazy forward output (the hot pipeline shape).
-    inv_p = _under("packed", lambda: engine.inverse(fwd_s, lazy=lazy))
+    assert np.array_equal(fwd_n, fwd_s)
+    # Inverse consumes the serial forward output (the hot pipeline shape).
+    inv_n = _under("native", lambda: engine.inverse(fwd_s, lazy=lazy))
     inv_s = _under("serial", lambda: engine.inverse(fwd_s, lazy=lazy))
-    assert np.array_equal(inv_p, inv_s)
+    assert np.array_equal(inv_n, inv_s)
     assert np.array_equal(
-        _under("packed", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
+        _under("native", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
         _under("serial", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
     )
 
@@ -242,14 +235,14 @@ def test_stacked_ntt_paper_shape_both_laziness_modes():
     f = _under("serial", lambda: engine.forward(x, lazy=True))
     for lazy in (False, True):
         assert np.array_equal(
-            _under("packed", lambda: engine.forward(x, lazy=lazy)),
+            _under("native", lambda: engine.forward(x, lazy=lazy)),
             _under("serial", lambda: engine.forward(x, lazy=lazy)),
         )
         assert np.array_equal(
-            _under("packed", lambda: engine.inverse(f, lazy=lazy)),
+            _under("native", lambda: engine.inverse(f, lazy=lazy)),
             _under("serial", lambda: engine.inverse(f, lazy=lazy)),
         )
-    with use_backend("packed"):
+    with use_backend("native"):
         assert np.array_equal(engine.inverse(engine.forward(x)), x)
 
 
@@ -263,7 +256,7 @@ def test_stacked_ntt_paper_shape_both_laziness_modes():
     kout=st.integers(1, 4),
     n=st.sampled_from([4, 64, 256]),
 )
-def test_base_converter_packed_matches_reference(seed, kin, kout, n):
+def test_base_converter_native_matches_reference(seed, kin, kout, n):
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, kin + kout, 16)
     ibase = RNSBase(base.moduli[:kin])
@@ -271,7 +264,7 @@ def test_base_converter_packed_matches_reference(seed, kin, kout, n):
     conv = BaseConverter(ibase, obase)
     x = _rand_rows(rng, ibase, (n,))
     want = conv.convert_reference(x)
-    for backend in ("packed", "serial"):
+    for backend in ("native", "serial"):
         assert np.array_equal(_under(backend, lambda: conv.convert(x)), want)
 
 
@@ -281,13 +274,14 @@ def test_base_converter_packed_matches_reference(seed, kin, kout, n):
     k=st.integers(2, 8),
     n=st.sampled_from([4, 64, 256]),
 )
-def test_scaler_packed_matches_reference(seed, k, n):
+def test_scaler_native_matches_reference(seed, k, n):
+    """Native fused divide-round tail == serial == per-limb reference."""
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, 16)
     scaler = LastModulusScaler(base)
     x = _rand_rows(rng, base, (n,))
     want = scaler.divide_round_reference(x)
-    for backend in ("packed", "serial"):
+    for backend in ("native", "serial"):
         assert np.array_equal(
             _under(backend, lambda: scaler.divide_round(x)), want
         )
@@ -326,7 +320,7 @@ def _random_ct(rng, context, size, level, scale):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), level=st.integers(1, 4))
-def test_evaluator_dyadic_ops_packed_matches_serial(ab_scheme, seed, level):
+def test_evaluator_dyadic_ops_native_matches_serial(ab_scheme, seed, level):
     ctx = ab_scheme["context"]
     ev = ab_scheme["evaluator"]
     rng = np.random.default_rng(seed)
@@ -360,16 +354,16 @@ def test_evaluator_dyadic_ops_packed_matches_serial(ab_scheme, seed, level):
             out["mod_switch"] = ev.mod_switch_to_next(a)
         return out
 
-    got_p = _under("packed", run_all)
+    got_n = _under("native", run_all)
     got_s = _under("serial", run_all)
-    assert got_p.keys() == got_s.keys()
-    for name, x in got_p.items():
+    assert got_n.keys() == got_s.keys()
+    for name, x in got_n.items():
         y = got_s[name]
         assert np.array_equal(x.data, y.data), name
         assert x.scale == y.scale, name
 
 
-def test_evaluator_keyed_ops_packed_matches_serial(ab_scheme):
+def test_evaluator_keyed_ops_native_matches_serial(ab_scheme):
     ctx = ab_scheme["context"]
     ev = ab_scheme["evaluator"]
     rng = np.random.default_rng(5)
@@ -385,132 +379,38 @@ def test_evaluator_keyed_ops_packed_matches_serial(ab_scheme):
             *ev.rotate_hoisted(a, [1, 3], gk),
         ]
 
-    for x, y in zip(_under("packed", run_all), _under("serial", run_all)):
+    for x, y in zip(_under("native", run_all), _under("serial", run_all)):
         assert np.array_equal(x.data, y.data)
 
 
-def test_encryptor_decryptor_packed_matches_serial(ab_scheme):
+def test_encryptor_decryptor_native_matches_serial(ab_scheme):
     ctx = ab_scheme["context"]
     enc = ab_scheme["encoder"]
     pk, sk = ab_scheme["public"], ab_scheme["secret"]
     rng = np.random.default_rng(11)
     z = rng.normal(size=enc.slots)
     pt = enc.encode(z)
-    ct_p = _under("packed", lambda: Encryptor(ctx, pk, seed=42).encrypt(pt))
+    ct_n = _under("native", lambda: Encryptor(ctx, pk, seed=42).encrypt(pt))
     ct_s = _under("serial", lambda: Encryptor(ctx, pk, seed=42).encrypt(pt))
-    # Same seed, same sampling order: bit-identical under every backend.
-    assert np.array_equal(ct_p.data, ct_s.data)
+    # Same seed, same sampling order: bit-identical under both backends.
+    assert np.array_equal(ct_n.data, ct_s.data)
     dec = Decryptor(ctx, sk)
-    pt_p = _under("packed", lambda: dec.decrypt(ct_p))
-    pt_s = _under("serial", lambda: dec.decrypt(ct_p))
-    assert np.array_equal(pt_p.data, pt_s.data)
+    pt_n = _under("native", lambda: dec.decrypt(ct_n))
+    pt_s = _under("serial", lambda: dec.decrypt(ct_n))
+    assert np.array_equal(pt_n.data, pt_s.data)
     # And the full roundtrip still decodes the message.
-    vals = enc.decode(pt_p)
+    vals = enc.decode(pt_n)
     assert np.allclose(vals.real, z, atol=1e-2)
 
 
 def test_paper_shape_evaluator_pin():
-    """N=4096, level-8 multiply/rescale bit-equality (acceptance shape)."""
+    """N=4096, level-8 multiply/rescale/relinearize pin (acceptance shape)."""
     params = CkksParameters.default(
         degree=4096, levels=7, scale_bits=23, first_bits=30, special_bits=30
     )
     ctx = CkksContext(params)
     assert ctx.max_level == 8
-    ev = Evaluator(ctx)
-    rng = np.random.default_rng(3)
-    scale = float(params.scale)
-    a = _random_ct(rng, ctx, 2, 8, scale)
-    b = _random_ct(rng, ctx, 2, 8, scale)
-    rs = Ciphertext(a.data, scale * scale)
-
-    def run():
-        return ev.multiply(a, b).data, ev.rescale(rs).data
-
-    for x, y in zip(_under("packed", run), _under("serial", run)):
-        assert np.array_equal(x, y)
-
-
-# -- three-way native / packed / serial ---------------------------------------
-
-
-@needs_native
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 8),
-    n=st.sampled_from([1, 7, 64, 300]),
-)
-def test_native_modmath_three_way(seed, k, n):
-    """Native == packed == serial == per-limb for every table entry."""
-    _assert_modmath_identical(seed, k, n, ("native", "packed", "serial"))
-
-
-@needs_native
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 8),
-    degree=st.sampled_from(DEGREES),
-    lazy=st.booleans(),
-    lead=st.sampled_from([(), (2,)]),
-)
-def test_native_ntt_three_way(seed, k, degree, lazy, lead):
-    """Native stacked NTT == packed stacked NTT == per-row serial NTT."""
-    rng = np.random.default_rng(seed)
-    base = _distinct_ntt_base(rng, k, degree)
-    engine = NTTEngine(degree, base)
-    x = np.empty(lead + (k, degree), dtype=np.uint64)
-    for i, m in enumerate(base):
-        x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
-
-    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
-    with use_backend("native"):
-        fwd_n = engine.forward(x, lazy=lazy)
-        inv_n = engine.inverse(fwd_s, lazy=lazy)
-    with use_backend("packed"):
-        fwd_p = engine.forward(x, lazy=lazy)
-        inv_p = engine.inverse(fwd_s, lazy=lazy)
-    inv_s = _under("serial", lambda: engine.inverse(fwd_s, lazy=lazy))
-    assert np.array_equal(fwd_n, fwd_p)
-    assert np.array_equal(fwd_n, fwd_s)
-    assert np.array_equal(inv_n, inv_p)
-    assert np.array_equal(inv_n, inv_s)
-
-
-@needs_native
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(2, 8),
-    n=st.sampled_from([4, 64, 256]),
-)
-def test_native_scaler_three_way(seed, k, n):
-    """Native fused divide-round tail == packed == per-limb reference."""
-    rng = np.random.default_rng(seed)
-    base = _distinct_ntt_base(rng, k, 16)
-    scaler = LastModulusScaler(base)
-    x = _rand_rows(rng, base, (n,))
-    ref = scaler.divide_round_reference(x)
-    with use_backend("native"):
-        got_native = scaler.divide_round(x)
-    with use_backend("packed"):
-        got_packed = scaler.divide_round(x)
-    with use_backend("serial"):
-        got_serial = scaler.divide_round(x)
-    assert np.array_equal(got_native, got_packed)
-    assert np.array_equal(got_native, got_serial)
-    assert np.array_equal(got_native, ref)
-
-
-@needs_native
-def test_native_evaluator_paper_shape_three_way():
-    """N=4096, level-8 multiply/rescale/relinearize pin across backends."""
-    params = CkksParameters.default(
-        degree=4096, levels=7, scale_bits=23, first_bits=30, special_bits=30
-    )
-    ctx = CkksContext(params)
-    keygen = KeyGenerator(ctx, seed=123)
-    rlk = keygen.relin_key()
+    rlk = KeyGenerator(ctx, seed=123).relin_key()
     ev = Evaluator(ctx)
     rng = np.random.default_rng(3)
     scale = float(params.scale)
@@ -526,18 +426,16 @@ def test_native_evaluator_paper_shape_three_way():
             ev.relinearize(t3, rlk).data,
         )
 
-    got_native = _under("native", run)
-    got_packed = _under("packed", run)
-    got_serial = _under("serial", run)
-    for x, y, z in zip(got_native, got_packed, got_serial):
+    for x, y in zip(_under("native", run), _under("serial", run)):
         assert np.array_equal(x, y)
-        assert np.array_equal(x, z)
 
 
-@needs_native
+# -- keys and threads ---------------------------------------------------------
+
+
 @pytest.mark.parametrize("degree", DEGREES)
-def test_native_keygen_three_way(degree):
-    """Every key for a fixed seed is identical under all three backends."""
+def test_native_keygen_matches_serial(degree):
+    """Every key for a fixed seed is identical under both backends."""
     params = CkksParameters.default(
         degree=degree, levels=3, scale_bits=23, first_bits=30, special_bits=30
     )
@@ -553,15 +451,12 @@ def test_native_keygen_three_way(degree):
         ]
 
     got_native = _under("native", keys)
-    got_packed = _under("packed", keys)
     got_serial = _under("serial", keys)
-    assert len(got_native) == len(got_packed) == len(got_serial)
-    for x, y, z in zip(got_native, got_packed, got_serial):
+    assert len(got_native) == len(got_serial)
+    for x, y in zip(got_native, got_serial):
         assert np.array_equal(x, y)
-        assert np.array_equal(x, z)
 
 
-@needs_native
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -599,7 +494,6 @@ def test_native_ntt_threaded_bit_identical(seed, k, degree, lazy):
     assert np.array_equal(inv_1, inv_s)
 
 
-@needs_native
 def test_native_evaluator_threaded_bit_identical():
     """N=4096 level-8 multiply/rescale/relinearize: threads 1 == 4."""
     params = CkksParameters.default(
@@ -628,13 +522,12 @@ def test_native_evaluator_threaded_bit_identical():
             got_1 = run()
         with use_threads(4):
             got_4 = run()
-    got_packed = _under("packed", run)
-    for x, y, z in zip(got_1, got_4, got_packed):
+    got_serial = _under("serial", run)
+    for x, y, z in zip(got_1, got_4, got_serial):
         assert np.array_equal(x, y)
         assert np.array_equal(x, z)
 
 
-@needs_native
 def test_native_thread_knobs():
     """set_threads/get_threads/use_threads agree and validate input."""
     import os

@@ -48,7 +48,7 @@ class TestChaosSoak:
     def test_breaker_tripped_when_native_available(self, report):
         if not report.native_armed:
             pytest.skip("native backend unavailable in this environment")
-        assert report.breaker["degraded_to"] == "packed"
+        assert report.breaker["degraded_to"] == "serial"
         assert report.fallback_delta >= 1
 
     def test_report_serializes(self, report):
@@ -71,14 +71,13 @@ class TestCircuitBreaker:
         start = backend.get_backend()
         if start == "serial":
             pytest.skip("already at the lowest tier")
-        expect = "packed" if start == "native" else "serial"
         assert backend.note_kernel_fault() is None
         assert backend.note_kernel_fault() is None
         assert backend.breaker_state()["faults"] == 2
-        assert backend.note_kernel_fault() == expect
-        assert backend.get_backend() == expect
+        assert backend.note_kernel_fault() == "serial"
+        assert backend.get_backend() == "serial"
         state = backend.breaker_state()
-        assert state["degraded_to"] == expect
+        assert state["degraded_to"] == "serial"
         assert state["faults"] == 0  # counter cleared at the trip
 
     def test_native_downgrade_counts_the_fallback(self):
@@ -86,9 +85,9 @@ class TestCircuitBreaker:
             pytest.skip("native backend unavailable")
         backend.set_backend("native")
         before = glue.fallback_count()
-        assert backend.degrade(reason="test") == "packed"
+        assert backend.degrade(reason="test") == "serial"
         assert glue.fallback_count() == before + 1
-        assert backend.get_backend() == "packed"
+        assert backend.get_backend() == "serial"
 
     def test_degrade_from_serial_is_a_noop(self):
         backend.set_backend("serial")

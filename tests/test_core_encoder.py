@@ -139,7 +139,7 @@ class TestFastDecode:
         every backend decodes one ciphertext to the same float bits."""
         z = rng.normal(size=ckks["encoder"].slots)
         ct = ckks["encryptor"].encrypt(ckks["encoder"].encode(z))
-        names = ["packed", "serial"]
+        names = ["serial"]
         if repro_native.available():
             names.append("native")
         decoded = {}
@@ -147,10 +147,10 @@ class TestFastDecode:
             with repro_native.use_backend(name):
                 pt = ckks["decryptor"].decrypt(ct)
                 decoded[name] = ckks["encoder"].decode(pt)
-        want = decoded["packed"].view(np.int64)
+        want = decoded["serial"].view(np.int64)
         for name, got in decoded.items():
             assert np.array_equal(got.view(np.int64), want), name
-        assert np.abs(decoded["packed"].real - z).max() < 1e-3
+        assert np.abs(decoded["serial"].real - z).max() < 1e-3
 
     def test_decode_takes_no_fallback_on_fresh_ciphertexts(self, ckks, rng,
                                                             monkeypatch):

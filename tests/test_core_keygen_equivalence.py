@@ -40,7 +40,7 @@ needs_native = pytest.mark.skipif(
            f"({repro_native.availability_error()})",
 )
 
-BACKENDS = [pytest.param("native", marks=needs_native), "packed", "serial"]
+BACKENDS = [pytest.param("native", marks=needs_native), "serial"]
 
 
 class _PerRowKeyGenerator:

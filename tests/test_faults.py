@@ -100,7 +100,6 @@ class TestFaultPlan:
         assert injected() == before + 2
 
     def test_registered_faultpoints_cover_the_serving_stack(self):
-        import repro.modmath.scratch  # noqa: F401 - registers scratch.alloc
         import repro.native.build  # noqa: F401 - registers native.build
         import repro.native.glue  # noqa: F401 - registers native.kernel
         import repro.server.dispatcher  # noqa: F401
@@ -109,8 +108,7 @@ class TestFaultPlan:
 
         points = faults.faultpoints()
         for name in ("wire.decode", "worker.execute", "dispatcher.execute",
-                     "dispatcher.device", "native.kernel", "native.build",
-                     "scratch.alloc"):
+                     "dispatcher.device", "native.kernel", "native.build"):
             assert name in points, name
 
 
@@ -311,19 +309,6 @@ class TestInjectedFaultTypes:
     def test_injected_fault_hierarchy(self):
         assert issubclass(InjectedFault, faults.FaultError)
         assert issubclass(faults.FaultError, RuntimeError)
-
-    def test_scratch_alloc_injection(self):
-        from repro.modmath.scratch import ScratchRegistry
-
-        reg = ScratchRegistry("test-faults")
-        plan = FaultPlan(
-            [FaultRule("scratch.alloc", "kernel_exception", hits=(1,))])
-        with faults.use_plan(plan):
-            with pytest.raises(InjectedFault):
-                reg.get(("k", 1), lambda key: np.zeros(4))
-            # Next miss allocates normally.
-            buf = reg.get(("k", 1), lambda key: np.zeros(4))
-        assert buf.shape == (4,)
 
     def test_build_failure_injection(self):
         from repro.native.build import NativeBuildError, build

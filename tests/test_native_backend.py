@@ -1,8 +1,8 @@
 """Backend-selection and build/caching semantics of ``repro.native``.
 
 Covers the fallback contract: when the C toolchain (or the cached
-library) is unavailable the package must fall back to the packed NumPy
-path **exactly once** with a logged warning — not per call — while an
+library) is unavailable the package must fall back to the serial
+oracle **exactly once** with a logged warning — not per call — while an
 explicit ``set_backend("native")`` must raise the typed
 :class:`~repro.native.BackendUnavailableError`.
 """
@@ -53,9 +53,10 @@ def _stacked(k=3, n=32, seed=0):
 def test_backend_names_and_invalid(restore_native):
     with pytest.raises(ValueError):
         set_backend("vectorized")
-    for name in ("packed", "serial"):
-        set_backend(name)
-        assert get_backend() == name
+    with pytest.raises(ValueError):
+        set_backend("packed")
+    set_backend("serial")
+    assert get_backend() == "serial"
     set_backend("auto")
     assert get_backend() in native.BACKENDS
 
@@ -64,15 +65,21 @@ def test_env_var_selects_backend(restore_native, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "serial")
     native.reset()
     assert get_backend() == "serial"
-    # An explicit set_backend overrides the env var.
-    set_backend("packed")
-    assert get_backend() == "packed"
+    if HAVE_TOOLCHAIN:
+        # An explicit set_backend overrides the env var.
+        set_backend("native")
+        assert get_backend() == "native"
 
 
-def test_env_var_invalid_falls_back_to_auto(restore_native, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "warp-speed")
-    native.reset()
-    assert get_backend() in ("native", "packed")
+def test_env_var_invalid_falls_back_to_auto(restore_native, monkeypatch,
+                                            caplog):
+    # "packed" named a NumPy backend that no longer exists.
+    for value in ("warp-speed", "packed"):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        native.reset()
+        with caplog.at_level(logging.WARNING, logger="repro.native"):
+            assert get_backend() == ("native" if HAVE_TOOLCHAIN else "serial")
+        assert f"ignoring invalid REPRO_BACKEND={value!r}" in caplog.text
 
 
 def test_use_backend_restores(restore_native):
@@ -93,7 +100,7 @@ def test_set_backend_native_raises_typed_when_unavailable(
     with pytest.raises(BackendUnavailableError):
         set_backend("native")
     # The typed error leaves the selection untouched and usable.
-    assert get_backend() == "packed"
+    assert get_backend() == "serial"
 
 
 def test_fallback_warns_exactly_once_not_per_call(
@@ -105,7 +112,7 @@ def test_fallback_warns_exactly_once_not_per_call(
     with caplog.at_level(logging.WARNING, logger="repro.native"):
         for _ in range(5):
             mul_mod(a, b, st)  # auto-resolves, discovers unavailability
-        assert get_backend() == "packed"
+        assert get_backend() == "serial"
         for _ in range(5):
             mul_mod(a, b, st)
     warnings = [
@@ -131,7 +138,7 @@ def test_env_native_request_degrades_with_warning(
     monkeypatch.setenv("REPRO_BACKEND", "native")
     native.reset()
     with caplog.at_level(logging.WARNING, logger="repro.native"):
-        assert get_backend() == "packed"
+        assert get_backend() == "serial"
     assert any(
         "requested the native backend" in r.getMessage()
         for r in caplog.records
@@ -168,11 +175,10 @@ def test_missing_compiler_is_typed(restore_native, monkeypatch):
 @pytest.mark.skipif(not HAVE_TOOLCHAIN, reason="no usable C toolchain")
 def test_native_backend_dispatches_bit_identically(restore_native):
     st, a, b = _stacked(seed=11)
-    with use_backend("packed"):
+    with use_backend("serial"):
         want = mul_mod(a, b, st)
-    for name in ("native", "serial"):
-        with use_backend(name):
-            assert np.array_equal(mul_mod(a, b, st), want), name
+    with use_backend("native"):
+        assert np.array_equal(mul_mod(a, b, st), want)
 
 
 # -- one selector, one seam ---------------------------------------------------
@@ -276,7 +282,7 @@ def test_ctypes_signatures_match_the_c_prototypes():
         assert glue._SIGS[symbol] == args, symbol
 
 
-# -- ineligible inputs: the glue declines, the packed body answers ------------
+# -- ineligible inputs: the glue declines, the serial body answers ------------
 
 
 def _harvey(w, p):
@@ -337,17 +343,17 @@ def _outcome(fn, args, kwargs):
     if field == "scaler_tail" else field
     for field in KernelTable._fields[1:]
 ])
-def test_ineligible_inputs_fall_through_to_packed(field):
+def test_ineligible_inputs_fall_through_to_serial(field):
     """The glue declines what it cannot run (``None``), and the native
-    table then answers exactly as the packed one: the same array, or the
+    table then answers exactly as the serial one: the same array, or the
     same error.  A ``StackedModulus`` whose limb axis is not
     second-to-last has ``trailing != 1``; that is the check it reaches."""
     from repro.native import glue
-    from repro.native.tables import NATIVE, PACKED
+    from repro.native.tables import NATIVE, SERIAL
 
     for label, args, kwargs in _ineligible_inputs(field):
         assert glue.KERNELS[field](*args, **kwargs) is None, label
-        want = _outcome(getattr(PACKED, field), args, kwargs)
+        want = _outcome(getattr(SERIAL, field), args, kwargs)
         got = _outcome(getattr(NATIVE, field), args, kwargs)
         if isinstance(want, np.ndarray):
             assert isinstance(got, np.ndarray), label
@@ -360,7 +366,8 @@ def test_ineligible_inputs_fall_through_to_packed(field):
 @pytest.mark.skipif(not HAVE_TOOLCHAIN, reason="no usable C toolchain")
 def test_same_evaluator_bit_identical_across_breaker_trips(restore_native):
     """One Evaluator, created under native, keeps its outputs as the
-    circuit breaker swaps the kernel table native -> packed -> serial."""
+    circuit breaker swaps the kernel table native -> serial, and a
+    second trip at serial is a no-op."""
     from repro.core import CkksContext, CkksParameters, Evaluator, KeyGenerator
     from repro.core.ciphertext import Ciphertext
     from repro.native import backend
@@ -392,10 +399,10 @@ def test_same_evaluator_bit_identical_across_breaker_trips(restore_native):
                 return ev.rescale(prod).data
 
             want = run()
-            for expect in ("packed", "serial"):
-                assert backend.degrade(reason="test") == expect
-                assert get_backend() == expect
-                assert np.array_equal(run(), want), expect
+            for _ in range(2):
+                assert backend.degrade(reason="test") == "serial"
+                assert get_backend() == "serial"
+                assert np.array_equal(run(), want)
         finally:
             backend.reset_breaker()
         degraded = {
@@ -403,7 +410,4 @@ def test_same_evaluator_bit_identical_across_breaker_trips(restore_native):
             for inst in registry.instruments()
             if inst.name == "repro_backend_degraded_total"
         }
-    assert degraded == {
-        (("from", "native"), ("to", "packed")): 1.0,
-        (("from", "packed"), ("to", "serial")): 1.0,
-    }
+    assert degraded == {(("from", "native"), ("to", "serial")): 1.0}

@@ -203,7 +203,6 @@ def test_prometheus_snapshot_covers_every_subsystem():
         'repro_worker_tasks_total{worker="he-worker-1"}',
         "repro_worker_busy_seconds",
         # process-wide caches and backend
-        "repro_scratch_bytes",
         "repro_ntt_tables_cache_hits_total",
         "repro_ntt_tables_cache_size",
         "repro_native_fallback_total",
@@ -277,7 +276,7 @@ def test_registry_is_a_live_view_of_the_server():
              "repro_pump_", "repro_worker_", "repro_requeued_")
     left = _samples(registry.render_prometheus())
     assert not [name for name in left if name.startswith(owned)]
-    assert any(name.startswith("repro_scratch_") for name in left)
+    assert any(name.startswith("repro_ntt_tables_") for name in left)
 
 
 def test_serving_metrics_have_no_copy_layer():

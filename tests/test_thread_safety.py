@@ -1,9 +1,8 @@
 """Concurrency regression suite: shared caches under multi-threaded load.
 
 The streaming server dispatches evaluator work from multiple logical
-lanes; the NTT table memos (``ntt/tables.py``), the per-instance
-prefix/stage caches, and the packed-kernel scratch pools are all shared
-state.  These tests hammer them from many threads and require (a) no
+lanes; the NTT table memos (``ntt/tables.py``) and the per-instance
+prefix caches are shared state.  These tests hammer them from many threads and require (a) no
 exceptions and (b) outputs bit-identical to the single-threaded run.
 """
 
@@ -125,135 +124,26 @@ def test_concurrent_table_cache_churn():
     assert not errors, errors
 
 
-def test_scratch_registry_evicts_across_threads():
-    """The bounded registry caps total bytes across per-thread pools.
-
-    Regression for the worker-pool leak: per-thread scratch pools used
-    to live forever, so N long-lived workers held N full pools.  The
-    registry must evict LRU entries globally — including other threads'
-    — once the byte cap is crossed.
-    """
-    from repro.modmath.scratch import ScratchRegistry
-
-    class Buf:
-        def __init__(self, count):
-            self.arr = np.empty(count, dtype=np.uint8)
-
-        @property
-        def nbytes(self):
-            return self.arr.nbytes
-
-    reg = ScratchRegistry("test", max_bytes=4096)
-
-    def worker(_idx):
-        for _ in range(5):
-            reg.get(1024, Buf)
-
-    errors = _run_threads(worker, count=6)
-    assert not errors, errors
-    info = reg.info()
-    # Cap respected up to the just-inserted entry's exemption.
-    assert info["bytes"] <= 4096 + 1024, info
-    assert info["buffers"] <= 4, info
-
-    reg.clear()
-    assert reg.info()["buffers"] == 0
-    assert reg.info()["bytes"] == 0
-
-    # Per-thread entry cap: one thread cycling many shapes stays bounded.
-    reg2 = ScratchRegistry("test2", max_thread_entries=4,
-                           max_bytes=1 << 30)
-    for count in range(1, 20):
-        reg2.get(count, Buf)
-    assert reg2.info()["buffers"] <= 5  # cap + the post-clear insert
-
-
-def test_kernel_scratch_pools_bounded(monkeypatch):
-    """packedops/radix2 scratch never outgrows REPRO_SCRATCH_MAX_BYTES.
-
-    Many threads run packed kernels and stacked transforms at several
-    shapes; the live pools' total bytes must respect the (tiny) env cap
-    instead of accumulating one warm pool per thread forever.
-    """
-    from repro.modmath import Modulus as _Modulus
-    from repro.modmath import gen_ntt_primes as _gen
-    from repro.modmath import packedops
-    from repro.modmath.stacked import StackedModulus
-    from repro.native import use_backend
-    from repro.ntt import radix2
-    from repro.ntt.tables import get_stacked_tables
-
-    cap = 2 * 1024 * 1024
-    monkeypatch.setenv("REPRO_SCRATCH_MAX_BYTES", str(cap))
-    packedops.clear_scratch_pool()
-    radix2.clear_scratch_pool()
-
-    degree = 256
-    values = _gen([30, 28, 26], degree)
-    sm = StackedModulus(_Modulus(int(v)) for v in values)
-    st = get_stacked_tables(degree, values)
-    rng = np.random.default_rng(9)
-    xs = {
-        batch: np.stack([
-            rng.integers(0, int(v), (batch, degree), dtype=np.uint64)
-            for v in values
-        ], axis=1)
-        for batch in (1, 2, 3, 5)
-    }
-    # Pin the NumPy path: the native backend does not use these pools.
-    with use_backend("packed"):
-        ref = {
-            batch: (packedops.add_mod_stacked(x, x, sm),
-                    radix2.ntt_forward_stacked(x, st))
-            for batch, x in xs.items()
-        }
-
-        def worker(idx):
-            for i in range(8):
-                batch = (1, 2, 3, 5)[(idx + i) % 4]
-                x = xs[batch]
-                want_add, want_fwd = ref[batch]
-                assert np.array_equal(
-                    packedops.add_mod_stacked(x, x, sm), want_add)
-                assert np.array_equal(
-                    radix2.ntt_forward_stacked(x, st), want_fwd)
-
-        errors = _run_threads(worker)
-    assert not errors, errors
-    slack = cap  # one in-flight insert per registry is exempt
-    for info in (packedops.scratch_pool_info(),
-                 radix2.scratch_pool_info()):
-        assert info["bytes"] <= cap + slack, info
-    packedops.clear_scratch_pool()
-    radix2.clear_scratch_pool()
-    assert packedops.scratch_pool_info()["bytes"] == 0
-    assert radix2.scratch_pool_info()["bytes"] == 0
-
-
-def test_concurrent_stage_twiddle_and_prefix_memos():
-    """Concurrent stage_twiddles/prefix on one shared tables object."""
+def test_concurrent_prefix_memos():
+    """Concurrent prefix() on one shared tables object: one memo per size."""
     degree = 256
     values = gen_ntt_primes([30, 28, 26, 24], degree)
     st = get_stacked_tables(degree, values)
-    ref = {
-        (fwd, m): tuple(np.array(g, copy=True)
-                        for g in st.stage_twiddles(m, forward=fwd))
-        for fwd in (True, False)
-        for m in (1, 2, 4, 8)
-    }
+    seen = {rows: [] for rows in (1, 2, 3)}
 
     def worker(idx):
         for _ in range(30):
-            for fwd in (True, False):
-                for m in (1, 2, 4, 8):
-                    grids = st.stage_twiddles(m, forward=fwd)
-                    for got, want in zip(grids, ref[(fwd, m)]):
-                        assert np.array_equal(got, want)
-            pre = st.prefix(1 + idx % 3)
-            assert len(pre) == 1 + idx % 3
+            for rows in (1, 2, 3):
+                pre = st.prefix(rows)
+                assert len(pre) == rows
+                assert len(pre.modulus) == rows
+                assert np.array_equal(pre.w, st.w[:rows])
+                seen[rows].append(pre)
 
     errors = _run_threads(worker)
     assert not errors, errors
+    for rows, got in seen.items():
+        assert all(pre is st.prefix(rows) for pre in got), rows
 
 
 def test_concurrent_span_recording_bounded_and_consistent():
