@@ -161,14 +161,28 @@ def _modmath_case(seed, k, n):
     n=st.sampled_from([1, 7, 64, 300]),
 )
 def test_stacked_modmath_matches_per_limb(seed, k, n):
-    """Native == serial == per-limb for every elementwise table entry."""
+    """Each backend's stacked entries == the scalar-``Modulus`` rows."""
     run_all, per_limb = _modmath_case(seed, k, n)
+    for backend in ("native", "serial"):
+        got = _under(backend, run_all)
+        for name, rows in per_limb.items():
+            assert np.array_equal(got[name], np.stack(rows)), (backend, name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    n=st.sampled_from([1, 7, 64, 300]),
+)
+def test_native_modmath_matches_serial(seed, k, n):
+    """Native == serial for every elementwise table entry, fused ones too."""
+    run_all, _ = _modmath_case(seed, k, n)
     got_native = _under("native", run_all)
     got_serial = _under("serial", run_all)
+    assert got_native.keys() == got_serial.keys()
     for name, want in got_serial.items():
         assert np.array_equal(got_native[name], want), name
-    for name, rows in per_limb.items():
-        assert np.array_equal(got_native[name], np.stack(rows)), name
 
 
 @settings(max_examples=10, deadline=None)
@@ -206,6 +220,39 @@ def test_stacked_modmath_broadcast_shapes(seed, k):
     lead=st.sampled_from([(), (2,)]),
 )
 def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
+    """A stacked transform == each limb row transformed by its own engine."""
+    rng = np.random.default_rng(seed)
+    base = _distinct_ntt_base(rng, k, degree)
+    engine = NTTEngine(degree, base)
+    x = np.empty(lead + (k, degree), dtype=np.uint64)
+    for i, m in enumerate(base):
+        x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
+
+    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
+    with use_backend("native"):
+        fwd = engine.forward(x, lazy=lazy)
+        inv = engine.inverse(fwd_s, lazy=lazy)
+        for i, m in enumerate(base):
+            row = NTTEngine(degree, RNSBase([m]))
+            assert np.array_equal(
+                fwd[..., i : i + 1, :],
+                row.forward(x[..., i : i + 1, :], lazy=lazy),
+            ), i
+            assert np.array_equal(
+                inv[..., i : i + 1, :],
+                row.inverse(fwd_s[..., i : i + 1, :], lazy=lazy),
+            ), i
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    degree=st.sampled_from(DEGREES),
+    lazy=st.booleans(),
+    lead=st.sampled_from([(), (2,)]),
+)
+def test_native_ntt_matches_serial(seed, k, degree, lazy, lead):
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
     engine = NTTEngine(degree, base)
@@ -285,6 +332,34 @@ def test_scaler_native_matches_reference(seed, k, n):
         assert np.array_equal(
             _under(backend, lambda: scaler.divide_round(x)), want
         )
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8))
+def test_native_scaler_matches_serial(seed, k):
+    """Native == serial where the centered-residue correction flips.
+
+    The dropped row takes the values around ``d/2`` (where the centered
+    representative changes sign) and the ends of its range; the kept
+    rows take ``0`` and ``q - 1`` as well as random residues.
+    """
+    rng = np.random.default_rng(seed)
+    base = _distinct_ntt_base(rng, k, 16)
+    scaler = LastModulusScaler(base)
+    d = base[k - 1].value
+    edges = np.array(
+        [0, 1, d // 2 - 1, d // 2, d // 2 + 1, d - 2, d - 1], dtype=np.uint64
+    )
+    n = 3 * len(edges)
+    x = _rand_rows(rng, base, (n,))
+    x[k - 1] = np.tile(edges, 3)
+    for i in range(k - 1):
+        q = base[i].value
+        x[i, : len(edges)] = 0
+        x[i, len(edges) : 2 * len(edges)] = q - 1
+    got_native = _under("native", lambda: scaler.divide_round(x))
+    got_serial = _under("serial", lambda: scaler.divide_round(x))
+    assert np.array_equal(got_native, got_serial)
 
 
 # -- evaluator / encryptor / decryptor ---------------------------------------
@@ -428,6 +503,37 @@ def test_paper_shape_evaluator_pin():
 
     for x, y in zip(_under("native", run), _under("serial", run)):
         assert np.array_equal(x, y)
+
+
+def test_native_evaluator_paper_shape_matches_serial():
+    """N=4096, level-8 unkeyed ops beyond the pin: native == serial."""
+    params = CkksParameters.default(
+        degree=4096, levels=7, scale_bits=23, first_bits=30, special_bits=30
+    )
+    ctx = CkksContext(params)
+    ev = Evaluator(ctx)
+    rng = np.random.default_rng(13)
+    scale = float(params.scale)
+    a = _random_ct(rng, ctx, 2, 8, scale)
+    b = _random_ct(rng, ctx, 2, 8, scale)
+    pt = CkksEncoder(ctx).encode(rng.normal(size=8), level=8)
+
+    def run():
+        return {
+            "square": ev.square(a),
+            "sub": ev.sub(a, b),
+            "negate": ev.negate(a),
+            "add_plain": ev.add_plain(a, pt),
+            "multiply_plain": ev.multiply_plain(a, pt),
+            "multiply_scalar": ev.multiply_scalar(a, -1.5),
+            "mod_switch": ev.mod_switch_to_next(a),
+        }
+
+    got_n = _under("native", run)
+    got_s = _under("serial", run)
+    for name, x in got_n.items():
+        assert np.array_equal(x.data, got_s[name].data), name
+        assert x.scale == got_s[name].scale, name
 
 
 # -- keys and threads ---------------------------------------------------------
