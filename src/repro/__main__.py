@@ -470,9 +470,8 @@ def cmd_native(args: argparse.Namespace) -> int:
     # Bit-identity at the acceptance shape, plus a timing probe.
     from .core import CkksContext, CkksParameters, Evaluator
     from .core.ciphertext import Ciphertext
-    from .ntt import NTTEngine
-    from .rns import RNSBase
     from .modmath import gen_ntt_primes
+    from .ntt import get_stacked_tables, ntt_forward_stacked
 
     params = CkksParameters.default(degree=4096, levels=7, scale_bits=23,
                                     first_bits=30, special_bits=30)
@@ -500,43 +499,57 @@ def cmd_native(args: argparse.Namespace) -> int:
     print(f"bit-identity         : "
           f"{'native == serial' if identical else 'MISMATCH'}")
 
-    base = RNSBase.from_values(gen_ntt_primes([30] + [23] * 7, 4096))
-    engine = NTTEngine(4096, base)
-    x = np.stack(
-        [rng.integers(0, m.value, 4096, dtype=np.uint64) for m in base]
-    )
+    primes = gen_ntt_primes([30] + [23] * 7, 4096)
+    tables = get_stacked_tables(4096, primes)
+    x = np.stack([rng.integers(0, p, 4096, dtype=np.uint64) for p in primes])
+
+    def forward():
+        return ntt_forward_stacked(x, tables)
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
 
     def med(fn, reps=7):
         fn()
-        ts = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            ts.append(time.perf_counter() - t0)
-        return float(np.median(ts))
+        return float(np.median([timed(fn) for _ in range(reps)]))
+
+    def paired(fn, reps=7):
+        """1- and 2-thread call times from interleaved pairs."""
+        times = {1: [], 2: []}
+        for rep in range(reps + 1):  # pair 0 warms both widths up
+            for t in ((1, 2) if rep % 2 == 0 else (2, 1)):
+                with native.use_threads(t):
+                    times[t].append(timed(fn))
+        return np.array(times[1][1:]), np.array(times[2][1:])
 
     with native.use_backend("native"):
-        t_nat = med(lambda: engine.forward(x))
+        t_nat = med(forward)
     with native.use_backend("serial"):
-        t_serial = med(lambda: engine.forward(x))
+        t_serial = med(forward)
     speedup = t_serial / t_nat
     print(f"stacked fwd NTT      : native {t_nat * 1e3:.3f} ms vs serial "
           f"{t_serial * 1e3:.3f} ms ({speedup:.2f}x)")
 
     # Cores-vs-throughput scaling probes: the fwd NTT and the ciphertext
     # multiply under 1, 2, ... kernel threads.  The multi-core floor only
-    # binds when the host actually has more than one cpu.
+    # binds when the host actually has more than one cpu.  The 1- and
+    # 2-thread calls run in interleaved pairs, alternating which goes
+    # first, and the floor gates the median per-pair ratio, so a change
+    # in host load hits both sides of a pair alike.
     thread_ok = True
-    for name, probe in (("fwd NTT", lambda: engine.forward(x)),
+    for name, probe in (("fwd NTT", forward),
                         ("multiply", lambda: ev.multiply(a, b))):
-        scaling = {}
         with native.use_backend("native"):
-            for t in sorted({1, 2, cpu}):
-                with native.use_threads(t):
-                    scaling[t] = 1.0 / med(probe)
+            t1, t2 = paired(probe)
+            scaling = {1: 1.0 / np.median(t1), 2: 1.0 / np.median(t2)}
+            if cpu > 2:
+                with native.use_threads(cpu):
+                    scaling[cpu] = 1.0 / med(probe)
         line = ", ".join(f"t{t}={ops:,.0f} ops/s" for t, ops in scaling.items())
         if cpu >= 2:
-            thread_speedup = scaling[2] / scaling[1]
+            thread_speedup = float(np.median(t1 / t2))
             line += f" (2-thread {thread_speedup:.2f}x)"
             thread_ok = thread_ok and thread_speedup > 1.2
         print(f"thread scaling {name:<8}: {line}")

@@ -1,9 +1,12 @@
 """The CKKS context: precomputed tables shared by every scheme component.
 
-Holds the RNS bases, per-prime NTT tables, and the divide-and-round
-helpers used by rescaling (drop ``q_{l-1}``) and key-switch mod-down
-(drop the special prime ``P``).  Mirrors SEAL's ``SEALContext`` chain of
-per-level data.
+Holds the RNS bases, the stacked NTT tables of the key base, and the
+divide-and-round helpers used by rescaling (drop ``q_{l-1}``) and
+key-switch mod-down (drop the special prime ``P``).  Mirrors SEAL's
+``SEALContext`` chain of per-level data.  Every table stack comes from
+the one process-wide memo, :func:`repro.ntt.tables.get_stacked_tables`:
+level prefixes are views of the key base's stack, and the key-switch
+target rows and single dropped rows are stacks of their own there.
 
 All hot methods are written once against the stacked kernel entry
 points: whole ``(..., k, N)`` stacks move through stacked NTTs and
@@ -40,7 +43,7 @@ class CkksContext:
         self.ct_base: RNSBase = params.ciphertext_base()
         self.special: Modulus = self.key_base[len(self.key_base) - 1]
         #: Stacked twiddle tables over the full key base; level prefixes
-        #: and row subsets are cheap memoized views/lookups.
+        #: are memoized views.
         self.stacked_tables: StackedNTTTables = get_stacked_tables(
             self.degree, self.key_base
         )
@@ -52,9 +55,8 @@ class CkksContext:
         self._dropped_mod: Dict[Tuple[int, int], np.uint64] = {}
         self._scalar_cols: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         # Per-instance memos (plain dicts, not lru_cache, so discarded
-        # contexts release their stacked tables with them).
+        # contexts release their stacks with them).
         self._stacked_rows_cache: Dict[Tuple[int, ...], StackedModulus] = {}
-        self._stacked_tables_cache: Dict[Tuple[int, ...], StackedNTTTables] = {}
         self._signed_col_cache: Dict[int, np.ndarray] = {}
 
     # -- level helpers ---------------------------------------------------------
@@ -87,13 +89,7 @@ class CkksContext:
 
     def stacked_tables_rows(self, rows: Tuple[int, ...]) -> StackedNTTTables:
         """Stacked NTT tables over an arbitrary ordered key-base row subset."""
-        cached = self._stacked_tables_cache.get(rows)
-        if cached is None:
-            cached = get_stacked_tables(
-                self.degree, tuple(self.key_base[i] for i in rows)
-            )
-            self._stacked_tables_cache[rows] = cached
-        return cached
+        return get_stacked_tables(self.degree, [self.key_base[i] for i in rows])
 
     def signed_to_ntt(self, signed_coeffs: np.ndarray, rows: int) -> np.ndarray:
         """Signed int64 coefficients to NTT-form residues of the first ``rows``.

@@ -1,6 +1,5 @@
 """Negacyclic NTT engines — the paper's algorithmic level (Sec. III-B)."""
 
-from .engine import NTTEngine
 from .hierarchical import hierarchical_ntt_forward, hierarchical_split
 from .highradix import (
     high_radix_forward_group,
@@ -36,7 +35,6 @@ from .tables import (
 from .variants import VARIANTS, NTTVariant, get_variant, run_variant
 
 __all__ = [
-    "NTTEngine",
     "NTTTables",
     "StackedNTTTables",
     "NTTVariant",

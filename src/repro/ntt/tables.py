@@ -8,6 +8,11 @@ Gentleman-Sande transform consumes bit-reversed powers of ``psi**-1``.
 Each power is stored twice: the operand ``W`` and Harvey's quotient
 ``W' = floor(W * 2**64 / p)`` (Sec. II-C / Algorithm 1 of the paper), both
 as uint64 arrays so whole stages are vectorized.
+
+One builder, :class:`StackedNTTTables`, fills the ``(k, n)`` tables of a
+whole RNS base in one stacked pass through the selected kernel table;
+the per-prime :class:`NTTTables` are read-only row views of its arrays.
+One bounded memo, :func:`get_stacked_tables`, holds the built stacks.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..modmath import Modulus, MultiplyOperand, StackedModulus, inv_mod
+from ..modmath import Modulus, MultiplyOperand, StackedModulus, inv_mod, mul_mod
 
 __all__ = [
     "NTTTables",
@@ -82,6 +87,9 @@ def find_primitive_root(degree: int, modulus: Modulus) -> int:
 class NTTTables:
     """Precomputed twiddle factors for one ``(degree, modulus)`` pair.
 
+    Built only as a row of :class:`StackedNTTTables`: the arrays are
+    read-only views of that stack's rows, so each twiddle is held once.
+
     Attributes
     ----------
     w, wq:
@@ -103,64 +111,35 @@ class NTTTables:
     iwq: np.ndarray = field(repr=False)
     n_inv: MultiplyOperand = field(repr=False)
 
-    @classmethod
-    def create(cls, degree: int, modulus: Modulus) -> "NTTTables":
-        if degree < 2 or degree & (degree - 1):
-            raise ValueError(f"degree must be a power of two >= 2, got {degree}")
-        p = modulus.value
-        psi = find_primitive_root(degree, modulus)
-        ipsi = inv_mod(psi, modulus)
-        logn = degree.bit_length() - 1
 
-        w = np.empty(degree, dtype=np.uint64)
-        wq = np.empty(degree, dtype=np.uint64)
-        iw = np.empty(degree, dtype=np.uint64)
-        iwq = np.empty(degree, dtype=np.uint64)
-        # Successive powers, then scatter into bit-reversed slots: O(n).
-        fwd_pow = 1
-        inv_pow = 1
-        powers_f = np.empty(degree, dtype=object)
-        powers_i = np.empty(degree, dtype=object)
-        for e in range(degree):
-            powers_f[e] = fwd_pow
-            powers_i[e] = inv_pow
-            fwd_pow = fwd_pow * psi % p
-            inv_pow = inv_pow * ipsi % p
-        for i in range(degree):
-            e = bit_reverse(i, logn)
-            fw = int(powers_f[e])
-            bw = int(powers_i[e])
-            w[i] = fw
-            wq[i] = (fw << 64) // p
-            iw[i] = bw
-            iwq[i] = (bw << 64) // p
-
-        return cls(
-            degree=degree,
-            modulus=modulus,
-            psi=psi,
-            w=w,
-            wq=wq,
-            iw=iw,
-            iwq=iwq,
-            n_inv=MultiplyOperand.create(inv_mod(degree, modulus), modulus),
-        )
+def _column(values: Iterable[int]) -> np.ndarray:
+    return np.array(list(values), dtype=np.uint64)[:, None]
 
 
 class StackedNTTTables:
     """Twiddle tables for a whole RNS base, stacked along a leading limb axis.
 
-    The per-prime ``(n,)`` tables of :class:`NTTTables` become ``(k, n)``
-    matrices and the per-prime scalars become ``(k, 1)`` columns — the
-    layout the compiled stacked transforms read (:mod:`repro.native.glue`
-    flattens it once per instance) to run each butterfly stage across
-    *all* primes, the paper's Fig. 10 RNS-axis parallelism.  The serial
-    table transforms row by row from :attr:`tables`.
+    The constructor builds every table of the base in one stacked pass
+    through the selected kernel table, forward and inverse together as
+    one ``(2k, n)`` stack:
+
+    * powers of ``psi`` and ``psi**-1`` by a doubling ladder,
+      ``pow[:, m:2m] = mul_mod(pow[:, :m], root**m)``: ``log2 n`` calls;
+    * one scatter into bit-reversed order with :func:`bit_reverse_vector`;
+    * Harvey quotients exactly in wrapping uint64: ``w * 2**64 = q*p + r``
+      with ``r = mul_mod(w, 2**64 mod p)``, so ``q = -r * p**-1 mod 2**64``
+      (``p`` is odd, and ``w < p`` gives ``q < 2**64``).
+
+    The ``(k, n)`` matrices and ``(k, 1)`` columns are the layout the
+    compiled stacked transforms read (:mod:`repro.native.glue` flattens
+    it once per instance) to run each butterfly stage across *all*
+    primes, the paper's Fig. 10 RNS-axis parallelism.  The serial table
+    transforms row by row from :attr:`tables`.
 
     Attributes
     ----------
     tables:
-        The per-prime :class:`NTTTables`, in limb order.
+        The per-prime :class:`NTTTables` (row views), in limb order.
     w, wq, iw, iwq:
         ``(k, n)`` forward/inverse twiddles and Harvey quotients.
     modulus:
@@ -177,31 +156,47 @@ class StackedNTTTables:
         "_prefixes", "_native_consts", "_lock",
     )
 
-    def __init__(self, tables: Sequence[NTTTables]):
-        tables = tuple(tables)
-        if not tables:
+    def __init__(self, degree: int, moduli: Iterable[Modulus]):
+        if degree < 2 or degree & (degree - 1):
+            raise ValueError(f"degree must be a power of two >= 2, got {degree}")
+        moduli = tuple(moduli)
+        if not moduli:
             raise ValueError("StackedNTTTables needs at least one limb")
-        degree = tables[0].degree
-        if any(t.degree != degree for t in tables):
-            raise ValueError("all limbs must share one degree")
+        k = len(moduli)
+        psis = [find_primitive_root(degree, m) for m in moduli]
+        roots = psis + [inv_mod(psi, m) for psi, m in zip(psis, moduli)]
+        both = StackedModulus(moduli + moduli)
+
+        powers = np.empty((2 * k, degree), dtype=np.uint64)
+        powers[:, 0] = 1
+        m = 1
+        while m < degree:
+            step = _column(pow(r, m, q.value) for r, q in zip(roots, both))
+            powers[:, m : 2 * m] = mul_mod(powers[:, :m], step, both)
+            m <<= 1
+        tw = np.empty_like(powers)
+        tw[:, bit_reverse_vector(degree)] = powers
+        p_inv = _column(pow(q.value, -1, 1 << 64) for q in both)
+        twq = (np.uint64(0) - mul_mod(tw, both.c64, both)) * p_inv
+        tw.setflags(write=False)
+        twq.setflags(write=False)
+
+        n_invs = [MultiplyOperand.create(inv_mod(degree, q), q) for q in moduli]
         self.degree = degree
-        self.tables = tables
-        self.modulus = StackedModulus(t.modulus for t in tables)
-        self.w = np.stack([t.w for t in tables])
-        self.wq = np.stack([t.wq for t in tables])
-        self.iw = np.stack([t.iw for t in tables])
-        self.iwq = np.stack([t.iwq for t in tables])
-        k = len(tables)
-        self.ninv_w = np.array(
-            [t.n_inv.operand for t in tables], dtype=np.uint64
-        ).reshape(k, 1)
-        ninv_q = np.array([t.n_inv.quotient for t in tables], dtype=np.uint64)
-        self.ninv_q_hi = (ninv_q >> np.uint64(32)).reshape(k, 1)
-        self.ninv_q_lo = (ninv_q & np.uint64(0xFFFFFFFF)).reshape(k, 1)
-        for arr in (
-            self.w, self.wq, self.iw, self.iwq,
-            self.ninv_w, self.ninv_q_hi, self.ninv_q_lo,
-        ):
+        self.modulus = StackedModulus(moduli)
+        self.w, self.iw = tw[:k], tw[k:]
+        self.wq, self.iwq = twq[:k], twq[k:]
+        self.tables = tuple(
+            NTTTables(degree=degree, modulus=q, psi=psi, w=self.w[i],
+                      wq=self.wq[i], iw=self.iw[i], iwq=self.iwq[i],
+                      n_inv=n_inv)
+            for i, (q, psi, n_inv) in enumerate(zip(moduli, psis, n_invs))
+        )
+        self.ninv_w = _column(op.operand for op in n_invs)
+        ninv_q = _column(op.quotient for op in n_invs)
+        self.ninv_q_hi = ninv_q >> np.uint64(32)
+        self.ninv_q_lo = ninv_q & np.uint64(0xFFFFFFFF)
+        for arr in (self.ninv_w, self.ninv_q_hi, self.ninv_q_lo):
             arr.setflags(write=False)
         self._prefixes: dict = {}
         #: Flat constant arrays for the native backend (repro.native.glue).
@@ -241,49 +236,31 @@ class StackedNTTTables:
         return cached
 
 
-#: Bound on both process-global table memos.  Tables are immutable but
+#: Bound on the process-global table memo.  Tables are immutable but
 #: *large* (four uint64 arrays of ``degree`` words per prime: ~1 MiB at
 #: N = 32768), so a long-lived server cycling through many contexts must
 #: not accumulate them without bound; anything a live context needs is
 #: also referenced by that context, so eviction is always safe.
 TABLES_CACHE_SIZE = 32
 
-#: Serializes builds through the two bounded LRU memos below.  CPython's
-#: ``lru_cache`` is internally consistent, but without this lock two
-#: server lanes asking for the same uncached ``(degree, modulus)`` both
-#: pay the expensive ``NTTTables.create`` and racing evictions can churn
-#: entries a concurrent reader is about to use.  ``RLock`` because the
-#: stacked memo builds through the per-prime one.
-_TABLES_LOCK = threading.RLock()
-
-
-@lru_cache(maxsize=TABLES_CACHE_SIZE)
-def _cached_tables(degree: int, modulus_value: int) -> NTTTables:
-    return NTTTables.create(degree, Modulus(modulus_value))
-
-
-def get_tables(degree: int, modulus: Modulus | int) -> NTTTables:
-    """Memoized table lookup (tables are expensive and immutable).
-
-    The memo is a bounded LRU keyed by ``(degree, modulus)`` — see
-    :data:`TABLES_CACHE_SIZE`.  Thread-safe: see :data:`_TABLES_LOCK`.
-    """
-    value = modulus.value if isinstance(modulus, Modulus) else int(modulus)
-    with _TABLES_LOCK:
-        return _cached_tables(degree, value)
+#: Serializes lookups and builds through the memo: without it two
+#: server lanes asking for the same uncached base both pay the build,
+#: and racing evictions can churn entries a concurrent reader is about
+#: to use.
+_TABLES_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=TABLES_CACHE_SIZE)
 def _cached_stacked_tables(degree: int, values: Tuple[int, ...]) -> StackedNTTTables:
-    return StackedNTTTables([get_tables(degree, v) for v in values])
+    return StackedNTTTables(degree, [Modulus(v) for v in values])
 
 
 def get_stacked_tables(degree: int, moduli) -> StackedNTTTables:
     """Memoized stacked tables for an ordered modulus collection.
 
     ``moduli`` may be an iterable of :class:`Modulus` or plain ints (an
-    ``RNSBase`` works directly).  Rebuilding a stack from already-cached
-    per-prime tables is cheap, so the same small LRU bound applies.
+    ``RNSBase`` works directly).  The memo is a bounded LRU keyed by
+    ``(degree, value tuple)`` — see :data:`TABLES_CACHE_SIZE`.
     Thread-safe: see :data:`_TABLES_LOCK`.
     """
     values = tuple(
@@ -293,50 +270,49 @@ def get_stacked_tables(degree: int, moduli) -> StackedNTTTables:
         return _cached_stacked_tables(degree, values)
 
 
+def get_tables(degree: int, modulus: Modulus | int) -> NTTTables:
+    """The tables of one prime: the single row of its memoized stack."""
+    return get_stacked_tables(degree, [modulus]).tables[0]
+
+
 def tables_cache_info():
-    """(per-prime, stacked) ``lru_cache`` statistics — for tests and ops."""
+    """The memo's ``lru_cache`` statistics — for tests and ops."""
     with _TABLES_LOCK:
-        return _cached_tables.cache_info(), _cached_stacked_tables.cache_info()
+        return _cached_stacked_tables.cache_info()
 
 
 def clear_tables_cache() -> None:
-    """Drop both table memos (frees memory; safe at any time)."""
+    """Drop the table memo (frees memory; safe at any time)."""
     with _TABLES_LOCK:
         _cached_stacked_tables.cache_clear()
-        _cached_tables.cache_clear()
 
 
 def register_metrics(registry=None) -> None:
-    """Register pull series for both NTT table caches into a registry.
+    """Register pull series for the NTT table memo into a registry.
 
     Sampled at export time from the ``lru_cache`` statistics, so the
-    series track the live caches with no bookkeeping on the hot path.
+    series track the live memo with no bookkeeping on the hot path.
     """
     from ..obs import metrics as obs_metrics
 
     reg = registry or obs_metrics.get_registry()
 
-    def stat(which: int, field_name: str):
-        def read() -> float:
-            info = tables_cache_info()[which]
-            return float(getattr(info, field_name))
+    def stat(field_name: str):
+        return lambda: float(getattr(tables_cache_info(), field_name))
 
-        return read
-
-    for which, cache in ((0, "per_prime"), (1, "stacked")):
-        labels = {"cache": cache}
-        reg.counter("repro_ntt_tables_cache_hits_total",
-                    "NTT twiddle-table cache hits.",
-                    labels=labels, fn=stat(which, "hits"))
-        reg.counter("repro_ntt_tables_cache_misses_total",
-                    "NTT twiddle-table cache misses (table builds).",
-                    labels=labels, fn=stat(which, "misses"))
-        reg.gauge("repro_ntt_tables_cache_size",
-                  "NTT twiddle tables currently memoized.",
-                  labels=labels, fn=stat(which, "currsize"))
-        reg.gauge("repro_ntt_tables_cache_max",
-                  "NTT twiddle-table cache capacity.",
-                  labels=labels, fn=stat(which, "maxsize"))
+    labels = {"cache": "stacked"}
+    reg.counter("repro_ntt_tables_cache_hits_total",
+                "NTT twiddle-table cache hits.",
+                labels=labels, fn=stat("hits"))
+    reg.counter("repro_ntt_tables_cache_misses_total",
+                "NTT twiddle-table cache misses (table builds).",
+                labels=labels, fn=stat("misses"))
+    reg.gauge("repro_ntt_tables_cache_size",
+              "NTT twiddle tables currently memoized.",
+              labels=labels, fn=stat("currsize"))
+    reg.gauge("repro_ntt_tables_cache_max",
+              "NTT twiddle-table cache capacity.",
+              labels=labels, fn=stat("maxsize"))
 
 
 register_metrics()

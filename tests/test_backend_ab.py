@@ -56,7 +56,11 @@ from repro.modmath.barrett import (
     barrett_reduce_128,
     conditional_sub,
 )
-from repro.ntt import NTTEngine
+from repro.ntt import (
+    get_stacked_tables,
+    ntt_forward_stacked,
+    ntt_inverse_stacked,
+)
 from repro.rns import BaseConverter, LastModulusScaler, RNSBase
 
 DEGREES = [16, 64, 4096]
@@ -220,27 +224,27 @@ def test_stacked_modmath_broadcast_shapes(seed, k):
     lead=st.sampled_from([(), (2,)]),
 )
 def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
-    """A stacked transform == each limb row transformed by its own engine."""
+    """A stacked transform == each limb row under its own one-limb tables."""
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    engine = NTTEngine(degree, base)
+    tables = get_stacked_tables(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
 
-    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
+    fwd_s = _under("serial", lambda: ntt_forward_stacked(x, tables, lazy=lazy))
     with use_backend("native"):
-        fwd = engine.forward(x, lazy=lazy)
-        inv = engine.inverse(fwd_s, lazy=lazy)
+        fwd = ntt_forward_stacked(x, tables, lazy=lazy)
+        inv = ntt_inverse_stacked(fwd_s, tables, lazy=lazy)
         for i, m in enumerate(base):
-            row = NTTEngine(degree, RNSBase([m]))
+            row = get_stacked_tables(degree, [m])
             assert np.array_equal(
                 fwd[..., i : i + 1, :],
-                row.forward(x[..., i : i + 1, :], lazy=lazy),
+                ntt_forward_stacked(x[..., i : i + 1, :], row, lazy=lazy),
             ), i
             assert np.array_equal(
                 inv[..., i : i + 1, :],
-                row.inverse(fwd_s[..., i : i + 1, :], lazy=lazy),
+                ntt_inverse_stacked(fwd_s[..., i : i + 1, :], row, lazy=lazy),
             ), i
 
 
@@ -255,21 +259,21 @@ def test_stacked_ntt_matches_per_row(seed, k, degree, lazy, lead):
 def test_native_ntt_matches_serial(seed, k, degree, lazy, lead):
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    engine = NTTEngine(degree, base)
+    tables = get_stacked_tables(degree, base)
     x = np.empty(lead + (k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[..., i, :] = rng.integers(0, m.value, lead + (degree,), dtype=np.uint64)
 
-    fwd_n = _under("native", lambda: engine.forward(x, lazy=lazy))
-    fwd_s = _under("serial", lambda: engine.forward(x, lazy=lazy))
+    fwd_n = _under("native", lambda: ntt_forward_stacked(x, tables, lazy=lazy))
+    fwd_s = _under("serial", lambda: ntt_forward_stacked(x, tables, lazy=lazy))
     assert np.array_equal(fwd_n, fwd_s)
     # Inverse consumes the serial forward output (the hot pipeline shape).
-    inv_n = _under("native", lambda: engine.inverse(fwd_s, lazy=lazy))
-    inv_s = _under("serial", lambda: engine.inverse(fwd_s, lazy=lazy))
+    inv_n = _under("native", lambda: ntt_inverse_stacked(fwd_s, tables, lazy=lazy))
+    inv_s = _under("serial", lambda: ntt_inverse_stacked(fwd_s, tables, lazy=lazy))
     assert np.array_equal(inv_n, inv_s)
     assert np.array_equal(
-        _under("native", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
-        _under("serial", lambda: engine.dyadic_multiply(fwd_s, fwd_s)),
+        _under("native", lambda: mul_mod(fwd_s, fwd_s, tables.modulus)),
+        _under("serial", lambda: mul_mod(fwd_s, fwd_s, tables.modulus)),
     )
 
 
@@ -277,20 +281,21 @@ def test_stacked_ntt_paper_shape_both_laziness_modes():
     """Deterministic N=4096, level-8 pin (the acceptance-criteria shape)."""
     rng = np.random.default_rng(7)
     base = _distinct_ntt_base(rng, 8, 4096)
-    engine = NTTEngine(4096, base)
+    tables = get_stacked_tables(4096, base)
     x = _rand_rows(rng, base, (4096,))
-    f = _under("serial", lambda: engine.forward(x, lazy=True))
+    f = _under("serial", lambda: ntt_forward_stacked(x, tables, lazy=True))
     for lazy in (False, True):
         assert np.array_equal(
-            _under("native", lambda: engine.forward(x, lazy=lazy)),
-            _under("serial", lambda: engine.forward(x, lazy=lazy)),
+            _under("native", lambda: ntt_forward_stacked(x, tables, lazy=lazy)),
+            _under("serial", lambda: ntt_forward_stacked(x, tables, lazy=lazy)),
         )
         assert np.array_equal(
-            _under("native", lambda: engine.inverse(f, lazy=lazy)),
-            _under("serial", lambda: engine.inverse(f, lazy=lazy)),
+            _under("native", lambda: ntt_inverse_stacked(f, tables, lazy=lazy)),
+            _under("serial", lambda: ntt_inverse_stacked(f, tables, lazy=lazy)),
         )
     with use_backend("native"):
-        assert np.array_equal(engine.inverse(engine.forward(x)), x)
+        fwd = ntt_forward_stacked(x, tables)
+        assert np.array_equal(ntt_inverse_stacked(fwd, tables), x)
 
 
 # -- rns converters -----------------------------------------------------------
@@ -579,21 +584,21 @@ def test_native_ntt_threaded_bit_identical(seed, k, degree, lazy):
     """
     rng = np.random.default_rng(seed)
     base = _distinct_ntt_base(rng, k, degree)
-    engine = NTTEngine(degree, base)
+    tables = get_stacked_tables(degree, base)
     x = np.empty((2, k, degree), dtype=np.uint64)
     for i, m in enumerate(base):
         x[:, i, :] = rng.integers(0, m.value, (2, degree), dtype=np.uint64)
 
     with use_backend("serial"):
-        fwd_s = engine.forward(x, lazy=lazy)
-        inv_s = engine.inverse(fwd_s, lazy=lazy)
+        fwd_s = ntt_forward_stacked(x, tables, lazy=lazy)
+        inv_s = ntt_inverse_stacked(fwd_s, tables, lazy=lazy)
     with use_backend("native"):
         with use_threads(1):
-            fwd_1 = engine.forward(x, lazy=lazy)
-            inv_1 = engine.inverse(fwd_s, lazy=lazy)
+            fwd_1 = ntt_forward_stacked(x, tables, lazy=lazy)
+            inv_1 = ntt_inverse_stacked(fwd_s, tables, lazy=lazy)
         with use_threads(4):
-            fwd_4 = engine.forward(x, lazy=lazy)
-            inv_4 = engine.inverse(fwd_s, lazy=lazy)
+            fwd_4 = ntt_forward_stacked(x, tables, lazy=lazy)
+            inv_4 = ntt_inverse_stacked(fwd_s, tables, lazy=lazy)
     assert np.array_equal(fwd_1, fwd_4)
     assert np.array_equal(fwd_1, fwd_s)
     assert np.array_equal(inv_1, inv_4)

@@ -1,16 +1,24 @@
-"""Tests for the RNS NTT engine, stage schedules, SIMD model and variants."""
+"""Tests for the stacked RNS NTT, stage schedules, SIMD model and variants."""
 
 import numpy as np
 import pytest
 
-from repro.modmath import Modulus, gen_ntt_prime, gen_ntt_primes, work_item_ops
+from repro.modmath import (
+    Modulus,
+    gen_ntt_prime,
+    gen_ntt_primes,
+    mul_mod,
+    work_item_ops,
+)
 from repro.ntt import (
     VARIANTS,
-    NTTEngine,
+    get_stacked_tables,
     get_tables,
     get_variant,
     negacyclic_polymul_reference,
     ntt_forward,
+    ntt_forward_stacked,
+    ntt_inverse_stacked,
     run_variant,
     shuffle_targets,
     simd_exchange_plan,
@@ -28,18 +36,24 @@ def base():
 
 
 @pytest.fixture(scope="module")
-def engine(base):
-    return NTTEngine(256, base)
+def tables(base):
+    return get_stacked_tables(256, base)
+
+
+def _roundtrip(x, tables):
+    return ntt_inverse_stacked(ntt_forward_stacked(x, tables), tables)
 
 
 class TestEngine:
-    def test_roundtrip_matrix(self, engine, base):
+    """The stacked transforms over a whole RNS base."""
+
+    def test_roundtrip_matrix(self, tables, base):
         mat = np.stack(
             [RNG.integers(0, m.value, size=256, dtype=np.uint64) for m in base]
         )
-        assert np.array_equal(engine.inverse(engine.forward(mat)), mat)
+        assert np.array_equal(_roundtrip(mat, tables), mat)
 
-    def test_roundtrip_stack(self, engine, base):
+    def test_roundtrip_stack(self, tables, base):
         stack = np.stack(
             [
                 np.stack(
@@ -48,35 +62,36 @@ class TestEngine:
                 for _ in range(4)
             ]
         )
-        assert np.array_equal(engine.inverse(engine.forward(stack)), stack)
+        assert np.array_equal(_roundtrip(stack, tables), stack)
 
-    def test_negacyclic_multiply_matches_schoolbook(self, engine, base):
+    def test_negacyclic_multiply_matches_schoolbook(self, tables, base):
         n = 256
         a_int = [int(x) for x in RNG.integers(0, 50, n)]
         b_int = [int(x) for x in RNG.integers(0, 50, n)]
         a = decompose_poly(a_int, base)
         b = decompose_poly(b_int, base)
-        prod = engine.dyadic_multiply(engine.forward(a), engine.forward(b))
-        got = engine.inverse(prod)
+        prod = mul_mod(ntt_forward_stacked(a, tables),
+                       ntt_forward_stacked(b, tables), tables.modulus)
+        got = ntt_inverse_stacked(prod, tables)
         for i, m in enumerate(base):
             expect = negacyclic_polymul_reference(a_int, b_int, m)
             assert [int(v) for v in got[i]] == expect
 
-    def test_prefix_level(self, engine, base):
+    def test_prefix_level(self, tables, base):
         mat = np.stack(
             [RNG.integers(0, base[i].value, 256, dtype=np.uint64) for i in range(2)]
         )
-        out = engine.forward(mat)
-        sub = NTTEngine(engine.degree, base.prefix(2))
-        assert np.array_equal(out, sub.forward(mat))
+        out = ntt_forward_stacked(mat, tables.prefix(2))
+        sub = get_stacked_tables(tables.degree, base.prefix(2))
+        assert np.array_equal(out, ntt_forward_stacked(mat, sub))
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
-            NTTEngine(256, RNSBase.from_values([97]))
+            get_stacked_tables(256, RNSBase.from_values([97]))
 
-    def test_rejects_bad_shape(self, engine):
+    def test_rejects_bad_shape(self, tables):
         with pytest.raises(ValueError):
-            engine.forward(np.zeros((3, 128), dtype=np.uint64))
+            ntt_forward_stacked(np.zeros((3, 128), dtype=np.uint64), tables)
 
 
 class TestStageSchedule:

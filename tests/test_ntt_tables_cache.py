@@ -1,9 +1,10 @@
-"""Regression tests: the NTT table memos are bounded LRUs, not leaks.
+"""Regression tests: the NTT table memo is a bounded LRU, not a leak.
 
 Long-lived servers create many contexts over their lifetime; before this
-suite the process-global table memo could only grow.  Both the per-prime
-and the stacked-table caches must stay within ``TABLES_CACHE_SIZE``
-entries while still deduplicating repeated lookups.
+suite the process-global table memo could only grow.  The one memo,
+``get_stacked_tables`` (which ``get_tables`` reads a single row of),
+must stay within ``TABLES_CACHE_SIZE`` entries while still
+deduplicating repeated lookups.
 """
 
 import numpy as np
@@ -45,17 +46,15 @@ def fresh_cache():
 
 def test_caches_are_bounded():
     assert TABLES_CACHE_SIZE is not None and TABLES_CACHE_SIZE > 0
-    per_prime, stacked = tables_cache_info()
-    assert per_prime.maxsize == TABLES_CACHE_SIZE
-    assert stacked.maxsize == TABLES_CACHE_SIZE
+    assert tables_cache_info().maxsize == TABLES_CACHE_SIZE
 
 
 def test_per_prime_cache_evicts_beyond_bound():
+    """One-prime lookups share the one memo and evict beyond its bound."""
     primes = _primes(TABLES_CACHE_SIZE + 8)
     for p in primes:
         get_tables(DEGREE, p)
-    per_prime, _ = tables_cache_info()
-    assert per_prime.currsize <= TABLES_CACHE_SIZE
+    assert tables_cache_info().currsize <= TABLES_CACHE_SIZE
     # The most recent entry is still cached (hit, same object)...
     t_last = get_tables(DEGREE, primes[-1])
     assert get_tables(DEGREE, primes[-1]) is t_last
@@ -63,17 +62,18 @@ def test_per_prime_cache_evicts_beyond_bound():
     # correct, just a fresh object).
     rebuilt = get_tables(DEGREE, primes[0])
     assert rebuilt.modulus.value == primes[0]
-    per_prime, _ = tables_cache_info()
-    assert per_prime.currsize <= TABLES_CACHE_SIZE
+    assert tables_cache_info().currsize <= TABLES_CACHE_SIZE
 
 
 def test_repeated_lookup_is_a_hit():
     p = _primes(1)[0]
     a = get_tables(DEGREE, p)
-    before = tables_cache_info()[0].hits
+    before = tables_cache_info().hits
     b = get_tables(DEGREE, p)
     assert a is b
-    assert tables_cache_info()[0].hits == before + 1
+    assert tables_cache_info().hits == before + 1
+    # A one-prime lookup is the single row of that prime's stack.
+    assert get_stacked_tables(DEGREE, [p]).tables[0] is a
 
 
 def test_stacked_cache_bounded_and_keyed_by_value_tuple():
@@ -84,8 +84,7 @@ def test_stacked_cache_bounded_and_keyed_by_value_tuple():
     # Many distinct bases: entries evict instead of accumulating.
     for p in primes:
         get_stacked_tables(DEGREE, (p,))
-    _, stacked = tables_cache_info()
-    assert stacked.currsize <= TABLES_CACHE_SIZE
+    assert tables_cache_info().currsize <= TABLES_CACHE_SIZE
 
 
 def test_eviction_keeps_live_contexts_working():
