@@ -426,6 +426,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_native(args: argparse.Namespace) -> int:
+    import contextlib
     import os
     import time
 
@@ -515,14 +516,14 @@ def cmd_native(args: argparse.Namespace) -> int:
         fn()
         return float(np.median([timed(fn) for _ in range(reps)]))
 
-    def paired(fn, reps=7):
-        """1- and 2-thread call times from interleaved pairs."""
-        times = {1: [], 2: []}
-        for rep in range(reps + 1):  # pair 0 warms both widths up
-            for t in ((1, 2) if rep % 2 == 0 else (2, 1)):
-                with native.use_threads(t):
-                    times[t].append(timed(fn))
-        return np.array(times[1][1:]), np.array(times[2][1:])
+    def paired(fn, sides, reps=7):
+        """Call times under each of two settings, from interleaved pairs."""
+        times = ([], [])
+        for rep in range(reps + 1):  # pair 0 warms both settings up
+            for s in ((0, 1) if rep % 2 == 0 else (1, 0)):
+                with sides[s]():
+                    times[s].append(timed(fn))
+        return np.array(times[0][1:]), np.array(times[1][1:])
 
     with native.use_backend("native"):
         t_nat = med(forward)
@@ -532,6 +533,18 @@ def cmd_native(args: argparse.Namespace) -> int:
     print(f"stacked fwd NTT      : native {t_nat * 1e3:.3f} ms vs serial "
           f"{t_serial * 1e3:.3f} ms ({speedup:.2f}x)")
 
+    # The NTT rows the library chose at load; the AVX-512 rows are timed
+    # against the scalar rows on the same forward NTT, in interleaved pairs.
+    isa = native.ntt_isa()
+    print(f"ntt rows             : {isa}")
+    if isa == "avx512":
+        with native.use_backend("native"), native.use_threads(1):
+            t_simd, t_scalar = paired(
+                forward, (contextlib.nullcontext, native.glue._scalar_ntt_rows))
+        print(f"ntt rows fwd NTT     : avx512 {np.median(t_simd) * 1e3:.3f} ms "
+              f"vs scalar {np.median(t_scalar) * 1e3:.3f} ms "
+              f"({float(np.median(t_scalar / t_simd)):.2f}x)")
+
     # Cores-vs-throughput scaling probes: the fwd NTT and the ciphertext
     # multiply under 1, 2, ... kernel threads.  The multi-core floor only
     # binds when the host actually has more than one cpu.  The 1- and
@@ -539,10 +552,11 @@ def cmd_native(args: argparse.Namespace) -> int:
     # first, and the floor gates the median per-pair ratio, so a change
     # in host load hits both sides of a pair alike.
     thread_ok = True
+    widths = (lambda: native.use_threads(1), lambda: native.use_threads(2))
     for name, probe in (("fwd NTT", forward),
                         ("multiply", lambda: ev.multiply(a, b))):
         with native.use_backend("native"):
-            t1, t2 = paired(probe)
+            t1, t2 = paired(probe, widths)
             scaling = {1: 1.0 / np.median(t1), 2: 1.0 / np.median(t2)}
             if cpu > 2:
                 with native.use_threads(cpu):

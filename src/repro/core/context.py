@@ -6,7 +6,8 @@ key-switch mod-down (drop the special prime ``P``).  Mirrors SEAL's
 ``SEALContext`` chain of per-level data.  Every table stack comes from
 the one process-wide memo, :func:`repro.ntt.tables.get_stacked_tables`:
 level prefixes are views of the key base's stack, and the key-switch
-target rows and single dropped rows are stacks of their own there.
+target rows and single dropped rows are stacks of their own there, held
+per context once looked up.
 
 All hot methods are written once against the stacked kernel entry
 points: whole ``(..., k, N)`` stacks move through stacked NTTs and
@@ -57,6 +58,7 @@ class CkksContext:
         # Per-instance memos (plain dicts, not lru_cache, so discarded
         # contexts release their stacks with them).
         self._stacked_rows_cache: Dict[Tuple[int, ...], StackedModulus] = {}
+        self._tables_rows_cache: Dict[Tuple[int, ...], StackedNTTTables] = {}
         self._signed_col_cache: Dict[int, np.ndarray] = {}
 
     # -- level helpers ---------------------------------------------------------
@@ -88,8 +90,17 @@ class CkksContext:
         return cached
 
     def stacked_tables_rows(self, rows: Tuple[int, ...]) -> StackedNTTTables:
-        """Stacked NTT tables over an arbitrary ordered key-base row subset."""
-        return get_stacked_tables(self.degree, [self.key_base[i] for i in rows])
+        """Stacked NTT tables over an arbitrary ordered key-base row subset.
+
+        The object comes from :func:`get_stacked_tables` once per subset;
+        later calls (every key switch and rescale) are one dict lookup.
+        """
+        cached = self._tables_rows_cache.get(rows)
+        if cached is None:
+            cached = get_stacked_tables(
+                self.degree, [self.key_base[i] for i in rows])
+            self._tables_rows_cache[rows] = cached
+        return cached
 
     def signed_to_ntt(self, signed_coeffs: np.ndarray, rows: int) -> np.ndarray:
         """Signed int64 coefficients to NTT-form residues of the first ``rows``.

@@ -13,7 +13,9 @@ into a cached shared library (``~/.cache/repro-native``), and are driven
 through ctypes.  Three fused kernel families cover the hot path:
 
 1. the full stacked forward/inverse NTT — all ``log2(N)`` butterfly
-   stages per ``(batch, limb)`` row in one call;
+   stages per ``(batch, limb)`` row in one call, eight lanes at a time
+   on AVX-512F/DQ CPUs (rows chosen once at load, bit-identical to the
+   scalar rows; :func:`ntt_isa` names them);
 2. fused dyadic multiply/square and ``mad_mod`` accumulate for the
    tensor product and key-switch loops;
 3. the divide-round/rescale tails (Harvey ``d^{-1}`` multiply fused with
@@ -57,6 +59,7 @@ from .glue import (
     available,
     get_threads,
     library_path,
+    ntt_isa,
     set_threads,
     use_threads,
 )
@@ -73,6 +76,7 @@ __all__ = [
     "get_backend",
     "get_threads",
     "library_path",
+    "ntt_isa",
     "reset",
     "set_backend",
     "set_threads",

@@ -29,6 +29,18 @@
  * the emulated uint128 path) and the oracle's butterfly sequences, and
  * tests/test_backend_ab.py enforces equality per element.
  *
+ * SIMD NTT rows: the forward/inverse row transforms and the key switch's
+ * Barrett pass have an AVX-512F/DQ form that runs eight butterflies per
+ * instruction with the same wrapping-u64 formula per lane (the paper's
+ * SIMD butterfly stages, Sec. III-B, in HEXL's layout), so its outputs are
+ * bit-identical to the scalar rows on every input, in range or not.  It
+ * is compiled under `#if defined(__x86_64__) && defined(__GNUC__)` with a
+ * per-function target attribute (the build passes no -march, so the
+ * cached library stays portable) and chosen once, when the library is
+ * loaded, from __builtin_cpu_supports; rows with n < 16 stay scalar.
+ * repro_native_ntt_isa reports the choice, and
+ * repro_native_force_scalar_rows lets the tests pin the scalar rows.
+ *
  * Layout conventions (all arrays C-contiguous uint64):
  *   - data tensors are (rows, k, n): `rows` flattened leading axes,
  *     `k` the RNS limb axis (second-to-last), `n` the trailing axis;
@@ -264,10 +276,13 @@ typedef struct {
  * row in one call — one twiddle-multiply + lazy reduction + add/sub per
  * butterfly, data touched log2(n) times total instead of ~20 numpy
  * passes per stage.  Rows are independent, so the pool splits them.
+ *
+ * Each row function has a scalar and an AVX-512 form computing the same
+ * integer formula per element; ntt_rows names the set in effect.
  * ------------------------------------------------------------------------- */
 
-static void ntt_fwd_row(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
-                        u64 p, u64 two_p, i64 lazy) {
+static void ntt_fwd_row_scalar(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
+                               u64 p, u64 two_p, i64 lazy) {
     for (i64 m = 1; m < n; m <<= 1) {
         const i64 t = n / (2 * m);
         for (i64 g = 0; g < m; ++g) {
@@ -289,8 +304,8 @@ static void ntt_fwd_row(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
     }
 }
 
-static void ntt_inv_row(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
-                        u64 p, u64 two_p, u64 nw, u64 nq, i64 lazy) {
+static void ntt_inv_row_scalar(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
+                               u64 p, u64 two_p, u64 nw, u64 nq, i64 lazy) {
     for (i64 h = n / 2; h >= 1; h >>= 1) {
         const i64 t = n / (2 * h);
         for (i64 g = 0; g < h; ++g) {
@@ -316,6 +331,305 @@ static void ntt_inv_row(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
     }
 }
 
+/* Canonical dst = src mod p per element (the key switch's Barrett pass). */
+static void barrett_row_scalar(u64 *dst, const u64 *src, i64 n,
+                               u64 p, u64 rhi) {
+    for (i64 i = 0; i < n; ++i)
+        dst[i] = barrett64(src[i], p, rhi);
+}
+
+typedef struct {
+    void (*fwd)(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
+                u64 p, u64 two_p, i64 lazy);
+    void (*inv)(u64 *row, i64 n, const u64 *wr, const u64 *wqr,
+                u64 p, u64 two_p, u64 nw, u64 nq, i64 lazy);
+    void (*barrett)(u64 *dst, const u64 *src, i64 n, u64 p, u64 rhi);
+    i64 isa; /* what repro_native_ntt_isa reports: 0 scalar, 1 AVX-512 */
+} ntt_row_set;
+
+static const ntt_row_set SCALAR_ROWS = {
+    ntt_fwd_row_scalar, ntt_inv_row_scalar, barrett_row_scalar, 0,
+};
+
+/* The row set chosen at load, and the one in effect (the two differ only
+ * while repro_native_force_scalar_rows pins the scalar rows). */
+static const ntt_row_set *load_rows = &SCALAR_ROWS;
+static const ntt_row_set *ntt_rows = &SCALAR_ROWS;
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/* ---------------------------------------------------------------------------
+ * AVX-512F/DQ rows (see the header comment), after the layout of Intel
+ * HEXL (Boemer et al., WAHC 2021) over Harvey's lazy butterfly.  IFMA52 is
+ * not used: its 52-bit lazy representatives would differ from the scalar
+ * rows' values.
+ *
+ * Stages with t >= 8 pair X[i..i+8) with Y[i..i+8) under one broadcast
+ * twiddle.  The last three forward stages (t = 4, 2, 1), and the first
+ * three inverse ones, stay inside an aligned 16-element block: the block
+ * is loaded into two registers once, permuted so lane j of X meets lane
+ * j of Y for each stage, and stored once (register-resident stages).
+ * ------------------------------------------------------------------------- */
+
+#include <immintrin.h>
+
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+typedef __m512i v8;
+
+#define V_LOAD(a) _mm512_loadu_si512((const void *)(a))
+
+/* csub lane-wise: x - b wraps above x exactly when x < b (b <= 2^63). */
+AVX512 static inline v8 v_csub(v8 x, v8 b) {
+    return _mm512_min_epu64(x, _mm512_sub_epi64(x, b));
+}
+
+/* High word of a*b per lane from four 32x32 -> 64 partial products;
+ * bh = b >> 32 is passed in so broadcast operands split once. */
+AVX512 static inline v8 v_mulhi(v8 a, v8 b, v8 bh) {
+    const v8 lo32 = _mm512_set1_epi64(0xffffffffLL);
+    const v8 ah = _mm512_srli_epi64(a, 32);
+    const v8 ll = _mm512_mul_epu32(a, b);
+    const v8 lh = _mm512_mul_epu32(a, bh);
+    const v8 hl = _mm512_mul_epu32(ah, b);
+    const v8 hh = _mm512_mul_epu32(ah, bh);
+    const v8 mid = _mm512_add_epi64(lh, _mm512_srli_epi64(ll, 32));
+    const v8 mid2 = _mm512_add_epi64(hl, _mm512_and_si512(mid, lo32));
+    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid, 32)),
+                            _mm512_srli_epi64(mid2, 32));
+}
+
+/* harvey_lazy lane-wise: w*y - mulhi(wq, y)*p, both products wrapping. */
+AVX512 static inline v8 v_harvey(v8 y, v8 w, v8 wq, v8 wqh, v8 p) {
+    const v8 q = v_mulhi(y, wq, wqh);
+    return _mm512_sub_epi64(_mm512_mullo_epi64(w, y),
+                            _mm512_mullo_epi64(q, p));
+}
+
+/* One twiddle operand (w, wq, wq >> 32) for eight lanes. */
+typedef struct { v8 w, q, qh; } v_tw;
+
+AVX512 static inline v_tw v_tw_bcast(u64 w, u64 wq) {
+    v_tw r = {_mm512_set1_epi64((i64)w), _mm512_set1_epi64((i64)wq),
+              _mm512_set1_epi64((i64)(wq >> 32))};
+    return r;
+}
+
+/* Eight consecutive twiddles, one per lane. */
+AVX512 static inline v_tw v_tw_load(const u64 *wr, const u64 *wqr) {
+    v_tw r = {V_LOAD(wr), V_LOAD(wqr), _mm512_setzero_si512()};
+    r.qh = _mm512_srli_epi64(r.q, 32);
+    return r;
+}
+
+/* The twiddles at wr/wqr that `mask` loads, spread over the lanes by
+ * `spread`. */
+AVX512 static inline v_tw v_tw_spread(const u64 *wr, const u64 *wqr,
+                                      __mmask8 mask, v8 spread) {
+    v_tw r;
+    r.w = _mm512_permutexvar_epi64(spread, _mm512_maskz_loadu_epi64(mask, wr));
+    r.q = _mm512_permutexvar_epi64(spread, _mm512_maskz_loadu_epi64(mask, wqr));
+    r.qh = _mm512_srli_epi64(r.q, 32);
+    return r;
+}
+
+AVX512 static inline void v_fwd_bfly(v8 *x, v8 *y, v_tw tw, v8 p, v8 two_p) {
+    const v8 xv = v_csub(*x, two_p);
+    const v8 tt = v_harvey(*y, tw.w, tw.q, tw.qh, p);
+    *x = _mm512_add_epi64(xv, tt);
+    *y = _mm512_add_epi64(_mm512_sub_epi64(xv, tt), two_p);
+}
+
+AVX512 static inline void v_inv_bfly(v8 *x, v8 *y, v_tw tw, v8 p, v8 two_p) {
+    const v8 xv = *x, yv = *y;
+    *x = v_csub(_mm512_add_epi64(xv, yv), two_p);
+    *y = v_harvey(_mm512_sub_epi64(_mm512_add_epi64(xv, two_p), yv),
+                  tw.w, tw.q, tw.qh, p);
+}
+
+/* The inverse row's final pass: csub(harvey(v, n^{-1}), 2p), then to
+ * [0, p) unless lazy. */
+AVX512 static inline v8 v_inv_scale(v8 v, v_tw ninv, v8 p, v8 two_p,
+                                    i64 lazy) {
+    v = v_csub(v_harvey(v, ninv.w, ninv.q, ninv.qh, p), two_p);
+    return lazy ? v : v_csub(v, p);
+}
+
+/* (x, y) <- lanes idx[0..8) and idx[8..16) of the 16-lane pair x:y. */
+AVX512 static inline void v_perm2(v8 *x, v8 *y, v8 lo, v8 hi) {
+    const v8 a = *x, b = *y;
+    *x = _mm512_permutex2var_epi64(a, lo, b);
+    *y = _mm512_permutex2var_epi64(a, hi, b);
+}
+
+/* Lane permutes of a 16-element block.  Layout Lt puts the X operands of
+ * the t-stage (elements e with (e / t) even) in x and their Y partners
+ * in y.  P4 maps natural <-> L4, P42 L4 <-> L2, P21 L2 <-> L1 (each is
+ * its own inverse); G1 maps natural -> L1 and S1 back.  SPREADt repeats
+ * each of a block's 8/t twiddles over its t lanes. */
+static const u64 P4[16] = {0, 1, 2, 3, 8, 9, 10, 11,
+                           4, 5, 6, 7, 12, 13, 14, 15};
+static const u64 P42[16] = {0, 1, 8, 9, 4, 5, 12, 13,
+                            2, 3, 10, 11, 6, 7, 14, 15};
+static const u64 P21[16] = {0, 8, 2, 10, 4, 12, 6, 14,
+                            1, 9, 3, 11, 5, 13, 7, 15};
+static const u64 G1[16] = {0, 2, 4, 6, 8, 10, 12, 14,
+                           1, 3, 5, 7, 9, 11, 13, 15};
+static const u64 S1[16] = {0, 8, 1, 9, 2, 10, 3, 11,
+                           4, 12, 5, 13, 6, 14, 7, 15};
+static const u64 SPREAD4[8] = {0, 0, 0, 0, 1, 1, 1, 1};
+static const u64 SPREAD2[8] = {0, 0, 1, 1, 2, 2, 3, 3};
+
+AVX512 static void ntt_fwd_row_avx512(u64 *row, i64 n, const u64 *wr,
+                                      const u64 *wqr, u64 p_, u64 two_p_,
+                                      i64 lazy) {
+    if (n < 16) {
+        ntt_fwd_row_scalar(row, n, wr, wqr, p_, two_p_, lazy);
+        return;
+    }
+    const v8 p = _mm512_set1_epi64((i64)p_);
+    const v8 two_p = _mm512_set1_epi64((i64)two_p_);
+    for (i64 m = 1; 16 * m <= n; m <<= 1) { /* t = n / 2m >= 8 */
+        const i64 t = n / (2 * m);
+        for (i64 g = 0; g < m; ++g) {
+            const v_tw tw = v_tw_bcast(wr[m + g], wqr[m + g]);
+            u64 *X = row + (size_t)(2 * g) * t;
+            u64 *Y = X + t;
+            for (i64 i = 0; i < t; i += 8) {
+                v8 x = V_LOAD(X + i), y = V_LOAD(Y + i);
+                v_fwd_bfly(&x, &y, tw, p, two_p);
+                _mm512_storeu_si512((void *)(X + i), x);
+                _mm512_storeu_si512((void *)(Y + i), y);
+            }
+        }
+    }
+    const v8 p4lo = V_LOAD(P4), p4hi = V_LOAD(P4 + 8);
+    const v8 p42lo = V_LOAD(P42), p42hi = V_LOAD(P42 + 8);
+    const v8 p21lo = V_LOAD(P21), p21hi = V_LOAD(P21 + 8);
+    const v8 s1lo = V_LOAD(S1), s1hi = V_LOAD(S1 + 8);
+    const v8 sp4 = V_LOAD(SPREAD4), sp2 = V_LOAD(SPREAD2);
+    const i64 m4 = n / 8, m2 = n / 4, m1 = n / 2;
+    for (i64 b = 0; b < n / 16; ++b) {
+        u64 *blk = row + (size_t)16 * b;
+        v8 x = V_LOAD(blk), y = V_LOAD(blk + 8);
+        v_perm2(&x, &y, p4lo, p4hi);
+        v_fwd_bfly(&x, &y, v_tw_spread(wr + m4 + 2 * b, wqr + m4 + 2 * b,
+                                       0x03, sp4), p, two_p);
+        v_perm2(&x, &y, p42lo, p42hi);
+        v_fwd_bfly(&x, &y, v_tw_spread(wr + m2 + 4 * b, wqr + m2 + 4 * b,
+                                       0x0f, sp2), p, two_p);
+        v_perm2(&x, &y, p21lo, p21hi);
+        v_fwd_bfly(&x, &y, v_tw_load(wr + m1 + 8 * b, wqr + m1 + 8 * b),
+                   p, two_p);
+        v_perm2(&x, &y, s1lo, s1hi);
+        if (!lazy) { /* [0, 4p) -> [0, p), as the scalar last pass */
+            x = v_csub(v_csub(x, two_p), p);
+            y = v_csub(v_csub(y, two_p), p);
+        }
+        _mm512_storeu_si512((void *)blk, x);
+        _mm512_storeu_si512((void *)(blk + 8), y);
+    }
+}
+
+AVX512 static void ntt_inv_row_avx512(u64 *row, i64 n, const u64 *wr,
+                                      const u64 *wqr, u64 p_, u64 two_p_,
+                                      u64 nw, u64 nq, i64 lazy) {
+    if (n < 16) {
+        ntt_inv_row_scalar(row, n, wr, wqr, p_, two_p_, nw, nq, lazy);
+        return;
+    }
+    const v8 p = _mm512_set1_epi64((i64)p_);
+    const v8 two_p = _mm512_set1_epi64((i64)two_p_);
+    const v8 g1lo = V_LOAD(G1), g1hi = V_LOAD(G1 + 8);
+    const v8 p21lo = V_LOAD(P21), p21hi = V_LOAD(P21 + 8);
+    const v8 p42lo = V_LOAD(P42), p42hi = V_LOAD(P42 + 8);
+    const v8 p4lo = V_LOAD(P4), p4hi = V_LOAD(P4 + 8);
+    const v8 sp4 = V_LOAD(SPREAD4), sp2 = V_LOAD(SPREAD2);
+    const i64 h1 = n / 2, h2 = n / 4, h4 = n / 8;
+    for (i64 b = 0; b < n / 16; ++b) {
+        u64 *blk = row + (size_t)16 * b;
+        v8 x = V_LOAD(blk), y = V_LOAD(blk + 8);
+        v_perm2(&x, &y, g1lo, g1hi);
+        v_inv_bfly(&x, &y, v_tw_load(wr + h1 + 8 * b, wqr + h1 + 8 * b),
+                   p, two_p);
+        v_perm2(&x, &y, p21lo, p21hi);
+        v_inv_bfly(&x, &y, v_tw_spread(wr + h2 + 4 * b, wqr + h2 + 4 * b,
+                                       0x0f, sp2), p, two_p);
+        v_perm2(&x, &y, p42lo, p42hi);
+        v_inv_bfly(&x, &y, v_tw_spread(wr + h4 + 2 * b, wqr + h4 + 2 * b,
+                                       0x03, sp4), p, two_p);
+        v_perm2(&x, &y, p4lo, p4hi);
+        _mm512_storeu_si512((void *)blk, x);
+        _mm512_storeu_si512((void *)(blk + 8), y);
+    }
+    /* The last stage (h = 1) also applies the scalar row's final pass,
+     * n^{-1} scaling and correction, to each output as it is stored. */
+    const v_tw ninv = v_tw_bcast(nw, nq);
+    for (i64 h = n / 16; h >= 1; h >>= 1) { /* t = n / 2h >= 8 */
+        const i64 t = n / (2 * h);
+        for (i64 g = 0; g < h; ++g) {
+            const v_tw tw = v_tw_bcast(wr[h + g], wqr[h + g]);
+            u64 *X = row + (size_t)(2 * g) * t;
+            u64 *Y = X + t;
+            for (i64 i = 0; i < t; i += 8) {
+                v8 x = V_LOAD(X + i), y = V_LOAD(Y + i);
+                v_inv_bfly(&x, &y, tw, p, two_p);
+                if (h == 1) {
+                    x = v_inv_scale(x, ninv, p, two_p, lazy);
+                    y = v_inv_scale(y, ninv, p, two_p, lazy);
+                }
+                _mm512_storeu_si512((void *)(X + i), x);
+                _mm512_storeu_si512((void *)(Y + i), y);
+            }
+        }
+    }
+}
+
+AVX512 static void barrett_row_avx512(u64 *dst, const u64 *src, i64 n,
+                                      u64 p_, u64 rhi_) {
+    if (n < 16) {
+        barrett_row_scalar(dst, src, n, p_, rhi_);
+        return;
+    }
+    const v8 p = _mm512_set1_epi64((i64)p_);
+    const v8 rhi = _mm512_set1_epi64((i64)rhi_);
+    const v8 rhih = _mm512_srli_epi64(rhi, 32);
+    for (i64 i = 0; i < n; i += 8) {
+        const v8 x = V_LOAD(src + i);
+        const v8 r = _mm512_sub_epi64(
+            x, _mm512_mullo_epi64(v_mulhi(x, rhi, rhih), p));
+        _mm512_storeu_si512((void *)(dst + i), v_csub(r, p));
+    }
+}
+
+#undef V_LOAD
+
+static const ntt_row_set AVX512_ROWS = {
+    ntt_fwd_row_avx512, ntt_inv_row_avx512, barrett_row_avx512, 1,
+};
+
+/* At load: the AVX-512 rows when the CPU (and OS) support AVX-512F and
+ * DQ, else the scalar rows stay. */
+__attribute__((constructor)) static void select_ntt_rows(void) {
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        load_rows = &AVX512_ROWS;
+    ntt_rows = load_rows;
+}
+#endif /* __x86_64__ && __GNUC__ */
+
+/* 1 when the AVX-512 rows are in effect, 0 for the scalar rows. */
+EXPORT i64 repro_native_ntt_isa(void) {
+    return ntt_rows->isa;
+}
+
+/* Test hook: force the scalar rows (on != 0) or restore the load-time
+ * choice (on == 0); returns the isa then in effect.  Not thread-safe
+ * against running kernels: set it between calls. */
+EXPORT i64 repro_native_force_scalar_rows(i64 on) {
+    ntt_rows = on ? &SCALAR_ROWS : load_rows;
+    return ntt_rows->isa;
+}
+
 /* NTT jobs reuse rowctx: o0 = data, a = ninv_w column, b = ninv_q. */
 
 static void job_ntt_forward(void *vctx, i64 begin, i64 end) {
@@ -323,7 +637,7 @@ static void job_ntt_forward(void *vctx, i64 begin, i64 end) {
     const i64 n = C->n;
     for (i64 r = begin; r < end; ++r) {
         const i64 j = r % C->k;
-        ntt_fwd_row(C->o0 + (size_t)r * n, n,
+        ntt_rows->fwd(C->o0 + (size_t)r * n, n,
                     C->w + (size_t)j * n, C->wq + (size_t)j * n,
                     C->p[j], C->two_p[j], C->lazy);
     }
@@ -350,7 +664,7 @@ static void job_ntt_inverse(void *vctx, i64 begin, i64 end) {
     const i64 n = C->n;
     for (i64 r = begin; r < end; ++r) {
         const i64 j = r % C->k;
-        ntt_inv_row(C->o0 + (size_t)r * n, n,
+        ntt_rows->inv(C->o0 + (size_t)r * n, n,
                     C->w + (size_t)j * n, C->wq + (size_t)j * n,
                     C->p[j], C->two_p[j], C->a[j], C->b[j], C->lazy);
     }
@@ -399,25 +713,24 @@ typedef struct {
 static void job_ks_decompose(void *vctx, i64 begin, i64 end) {
     const ksctx *C = (const ksctx *)vctx;
     const i64 n = C->n, tk = C->level + 1;
+    const ntt_row_set *rows = ntt_rows;
     for (i64 i = begin; i < end; ++i) {
         u64 *base = C->out + (size_t)i * tk * n;
         memcpy(base, C->poly + (size_t)i * n, (size_t)n * sizeof(u64));
-        ntt_inv_row(base, n, C->iw + (size_t)i * n, C->iwq + (size_t)i * n,
+        rows->inv(base, n, C->iw + (size_t)i * n, C->iwq + (size_t)i * n,
                     C->src_p[i], C->src_two_p[i],
                     C->ninv_w[i], C->ninv_q[i], 0);
         for (i64 r = 1; r < tk; ++r) {
             u64 *orow = base + (size_t)r * n;
             const u64 p = C->tgt_p[r], rhi = C->tgt_rhi[r];
-            for (i64 t = 0; t < n; ++t)
-                orow[t] = barrett64(base[t], p, rhi);
-            ntt_fwd_row(orow, n, C->fw + (size_t)r * n,
+            rows->barrett(orow, base, n, p, rhi);
+            rows->fwd(orow, n, C->fw + (size_t)r * n,
                         C->fwq + (size_t)r * n, p, C->tgt_two_p[r], 0);
         }
         {
             const u64 p = C->tgt_p[0], rhi = C->tgt_rhi[0];
-            for (i64 t = 0; t < n; ++t)
-                base[t] = barrett64(base[t], p, rhi);
-            ntt_fwd_row(base, n, C->fw, C->fwq, p, C->tgt_two_p[0], 0);
+            rows->barrett(base, base, n, p, rhi);
+            rows->fwd(base, n, C->fw, C->fwq, p, C->tgt_two_p[0], 0);
         }
     }
 }
@@ -813,7 +1126,9 @@ EXPORT void repro_scaler_tail(const u64 *matrix, u64 *out,
 }
 
 /* Sanity hook: lets the loader verify the ABI after a cache hit.
- * v2: threaded row pool + repro_ks_decompose + thread controls. */
+ * v2: threaded row pool + repro_ks_decompose + thread controls.
+ * v3: load-time NTT row selection (repro_native_ntt_isa and
+ *     repro_native_force_scalar_rows). */
 EXPORT i64 repro_native_abi_version(void) {
-    return 2;
+    return 3;
 }

@@ -36,7 +36,7 @@ from .build import NativeBuildError, build
 __all__ = [
     "available", "availability_error", "library_path", "load", "reset",
     "note_fallback", "fallback_count", "register_metrics",
-    "set_threads", "get_threads", "use_threads", "KERNELS",
+    "set_threads", "get_threads", "use_threads", "ntt_isa", "KERNELS",
 ]
 
 logger = logging.getLogger("repro.native")
@@ -215,7 +215,19 @@ _SIGS.update({
                            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
 })
 
-_ABI_VERSION = 2
+#: argtypes per control export (restype int64; untraced, not kernels).
+_CONTROLS = {
+    "repro_native_abi_version": [],
+    "repro_native_set_threads": [_I64],
+    "repro_native_get_threads": [],
+    "repro_native_ntt_isa": [],
+    "repro_native_force_scalar_rows": [_I64],
+}
+
+_ABI_VERSION = 3
+
+#: ``repro_native_ntt_isa`` codes, by value.
+_NTT_ISAS = ("scalar", "avx512")
 
 
 def _default_threads() -> int:
@@ -251,18 +263,16 @@ def load() -> Optional[ctypes.CDLL]:
                 fn.argtypes = argtypes
                 fn.restype = None
                 setattr(lib, name, _TracedKernel(fn, name[len("repro_"):]))
-            abi = lib.repro_native_abi_version
-            abi.argtypes = []
-            abi.restype = _I64
-            if abi() != _ABI_VERSION:
+            for name, argtypes in _CONTROLS.items():
+                fn = getattr(lib, name)
+                fn.argtypes = argtypes
+                fn.restype = _I64
+            abi = lib.repro_native_abi_version()
+            if abi != _ABI_VERSION:
                 raise NativeBuildError(
-                    f"cached library {path} has ABI {abi()}, "
+                    f"cached library {path} has ABI {abi}, "
                     f"expected {_ABI_VERSION}"
                 )
-            lib.repro_native_set_threads.argtypes = [_I64]
-            lib.repro_native_set_threads.restype = _I64
-            lib.repro_native_get_threads.argtypes = []
-            lib.repro_native_get_threads.restype = _I64
             _THREADS_ACTIVE = int(lib.repro_native_set_threads(
                 _THREADS_REQUESTED or _default_threads()
             ))
@@ -295,6 +305,35 @@ def library_path():
     """Filesystem path of the loaded kernel library (None if unavailable)."""
     load()
     return _LIB_PATH
+
+
+def ntt_isa() -> Optional[str]:
+    """The NTT rows in effect: ``"avx512"`` or ``"scalar"``; None if unavailable.
+
+    The library picks the AVX-512F/DQ rows once, when it is loaded, if
+    the CPU supports them; both row sets give bit-identical outputs.
+    """
+    lib = load()
+    if lib is None:
+        return None
+    return _NTT_ISAS[lib.repro_native_ntt_isa()]
+
+
+@contextmanager
+def _scalar_ntt_rows():
+    """Run the body on the scalar NTT rows, then restore the load-time choice.
+
+    For tests and the self-test only: the switch is process-wide, so no
+    kernel may run on another thread while it is taken.
+    """
+    lib = load()
+    if lib is None:
+        raise NativeBuildError(availability_error())
+    lib.repro_native_force_scalar_rows(1)
+    try:
+        yield
+    finally:
+        lib.repro_native_force_scalar_rows(0)
 
 
 def reset() -> None:

@@ -10,12 +10,16 @@ same values, same lazy-reduction windows.  Hypothesis drives random
 moduli (20-60 bits), levels 1-8, degrees {16, 64, 4096}, and both
 laziness modes through every layer; deterministic heavyweight cases pin
 the paper-shaped N=4096, level-8 stack, and the threaded cases pin
-1-thread vs N-thread native runs.
+1-thread vs N-thread native runs.  The native NTT rows come in two sets,
+AVX-512 (chosen at load where the CPU has it) and scalar; each is held
+to serial on full-range and edge inputs, N = 2...32768.
 
 Every case needs the native leg, so without a usable C toolchain the
 whole module *skips* visibly (it must not silently pass as a serial
 self-comparison).
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -659,3 +663,131 @@ def test_native_thread_knobs():
     native.set_threads(7)
     native.set_threads(None)
     assert native.get_threads() == baseline
+
+
+# -- AVX-512 NTT rows vs scalar rows vs serial ---------------------------------
+
+
+def _missing_simd_flags():
+    """The CPU flags the AVX-512 rows need that ``/proc/cpuinfo`` lacks."""
+    import re
+    from pathlib import Path
+
+    try:
+        found = re.search(r"^flags\s*:(.*)$",
+                          Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        found = None
+    flags = set(found.group(1).split()) if found else set()
+    return [f for f in ("avx512f", "avx512dq") if f not in flags]
+
+
+#: Row sets under test: the scalar rows always, the AVX-512 rows where the
+#: library chose them at load (a visible skip naming the flag otherwise).
+NTT_ROWS = [
+    "scalar",
+    pytest.param("avx512", marks=pytest.mark.skipif(
+        repro_native.ntt_isa() != "avx512",
+        reason="AVX-512 NTT rows not selected on this host (missing: "
+               f"{', '.join(_missing_simd_flags()) or 'OS or x86-64 support'})",
+    )),
+]
+
+
+def _under_rows(rows, fn):
+    """Run ``fn()`` on the native backend with the named NTT row set."""
+    from repro.native import glue
+
+    with use_backend("native"):
+        if rows == "scalar":
+            with glue._scalar_ntt_rows():
+                assert repro_native.ntt_isa() == "scalar"
+                return fn()
+        assert repro_native.ntt_isa() == rows
+        return fn()
+
+
+def _edge_filled(rng, base, lead, n):
+    """Full-range uint64 rows with 0, p-1, p, 2p-1, 2p, 4p-1 mixed in."""
+    x = rng.integers(0, 1 << 64, lead + (len(base), n), dtype=np.uint64)
+    flat = x.reshape(-1, len(base), n)
+    for r in range(flat.shape[0]):
+        for i, m in enumerate(base):
+            p = m.value
+            edges = [0, p - 1, p, 2 * p - 1, 2 * p, 4 * p - 1]
+            spots = rng.choice(n, size=min(n, len(edges)), replace=False)
+            for slot, pos in enumerate(spots):
+                flat[r, i, pos] = edges[(r + i + slot) % len(edges)]
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _ntt_rows_case(logn):
+    """``(run, serial outputs)`` for N = 2**logn, k = 1 + logn % 9."""
+    n = 1 << logn
+    k = 1 + logn % 9
+    rng = np.random.default_rng(1000 + logn)
+    base = _distinct_ntt_base(rng, k, n)
+    tables = get_stacked_tables(n, base)
+    x = _edge_filled(rng, base, (2,), n)
+
+    def run():
+        return [f(x, tables, lazy=lazy)
+                for lazy in (False, True)
+                for f in (ntt_forward_stacked, ntt_inverse_stacked)]
+
+    return run, _under("serial", run)
+
+
+@pytest.mark.parametrize("logn", range(1, 16))
+@pytest.mark.parametrize("rows", NTT_ROWS)
+def test_native_ntt_rows_match_serial(rows, logn):
+    """Each NTT row set == serial for N = 2...32768 (the scalar/SIMD edge
+    at 8/16 included), both lazy modes, batch 2, full-range inputs."""
+    run, want = _ntt_rows_case(logn)
+    got = _under_rows(rows, run)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), i
+
+
+@functools.lru_cache(maxsize=None)
+def _ks_case(degree, levels):
+    """``(run, serial output)`` of one key-switch decompose at a CKKS shape."""
+    from repro.native.backend import kernels
+
+    ctx = CkksContext(CkksParameters.default(degree=degree, levels=levels))
+    level = ctx.max_level
+    inv = ctx.stacked_tables.prefix(level)
+    fwd = ctx.stacked_tables_rows(
+        tuple(range(level)) + (len(ctx.key_base) - 1,))
+    rng = np.random.default_rng(degree + levels)
+    poly = _edge_filled(rng, list(ctx.ct_base)[:level], (), degree)
+
+    def run():
+        return kernels().ks_decompose(poly, inv, fwd)
+
+    return run, _under("serial", run)
+
+
+@pytest.mark.parametrize("degree,levels", [(4096, 3), (8192, 8), (16384, 4)])
+@pytest.mark.parametrize("rows", NTT_ROWS)
+def test_native_ks_decompose_rows_match_serial(rows, degree, levels):
+    """The fused decompose (iNTT, Barrett pass, NTTs) == the serial steps."""
+    run, want = _ks_case(degree, levels)
+    assert np.array_equal(_under_rows(rows, run), want)
+
+
+def test_native_ntt_isa_is_chosen_at_load():
+    """The library runs the AVX-512 rows exactly when the CPU has both
+    flags (Linux x86-64), and the scalar-rows hook restores that choice."""
+    import platform
+
+    from repro.native import glue
+
+    isa = repro_native.ntt_isa()
+    if platform.machine() in ("x86_64", "AMD64") and \
+            not _missing_simd_flags():
+        assert isa == "avx512"
+    with glue._scalar_ntt_rows():
+        assert repro_native.ntt_isa() == "scalar"
+    assert repro_native.ntt_isa() == isa

@@ -254,8 +254,9 @@ def test_row_kernels_are_declared_once():
 
 
 def test_ctypes_signatures_match_the_c_prototypes():
-    """Every ``EXPORT void repro_*`` prototype in ``csrc/kernels.c`` has a
-    ``glue._SIGS`` row equal to its parameter list (needs no toolchain)."""
+    """Every ``EXPORT`` prototype in ``csrc/kernels.c`` has a glue row equal
+    to its parameter list: ``void`` kernels in ``glue._SIGS``, ``i64``
+    controls in ``glue._CONTROLS`` (needs no toolchain)."""
     import ctypes
     import re
     from pathlib import Path
@@ -265,21 +266,23 @@ def test_ctypes_signatures_match_the_c_prototypes():
     source = (Path(glue.__file__).parent / "csrc" / "kernels.c").read_text()
     ctype = {"*": ctypes.c_void_p, "i64": ctypes.c_int64,
              "u64": ctypes.c_uint64}
-    prototypes = {}
-    for symbol, params in re.findall(
-        r"EXPORT void (repro_\w+)\(([^)]*)\)", source
+    prototypes = {"void": {}, "i64": {}}
+    for ret, symbol, params in re.findall(
+        r"EXPORT (\w+) (repro_\w+)\(([^)]*)\)", source
     ):
+        assert ret in prototypes, (symbol, ret)
         args = []
         for param in params.split(","):
+            if param.strip() == "void":
+                continue
             decl = re.fullmatch(
                 r"\s*(?:const\s+)?(u64|i64)\s*(\*?)\s*\w+\s*", param
             )
             assert decl, (symbol, param)
             args.append(ctype[decl[2] or decl[1]])
-        prototypes[symbol] = args
-    assert set(prototypes) == set(glue._SIGS)
-    for symbol, args in prototypes.items():
-        assert glue._SIGS[symbol] == args, symbol
+        prototypes[ret][symbol] = args
+    assert prototypes["void"] == glue._SIGS
+    assert prototypes["i64"] == glue._CONTROLS
 
 
 # -- ineligible inputs: the glue declines, the serial body answers ------------

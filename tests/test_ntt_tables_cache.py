@@ -100,3 +100,20 @@ def test_eviction_keeps_live_contexts_working():
         0, held.modulus.value, DEGREE, dtype=np.uint64
     )
     assert np.array_equal(ntt_inverse(ntt_forward(x, held), held), x)
+
+
+def test_context_row_stacks_are_the_memo_objects():
+    """``stacked_tables_rows`` holds the memo's own object per row subset:
+    the first call takes it from ``get_stacked_tables``, later calls are a
+    per-context lookup that returns that same object without the memo."""
+    from repro.core import CkksContext, CkksParameters
+
+    ctx = CkksContext(CkksParameters.default(degree=64, levels=3))
+    rows = (0, 1, len(ctx.key_base) - 1)
+    held = ctx.stacked_tables_rows(rows)
+    assert held is get_stacked_tables(64, [ctx.key_base[i] for i in rows])
+    lookups = tables_cache_info()
+    assert ctx.stacked_tables_rows(rows) is held
+    assert ctx.stacked_tables_rows((2,)) is ctx.stacked_tables_rows((2,))
+    after = tables_cache_info()
+    assert after.hits + after.misses == lookups.hits + lookups.misses + 1
