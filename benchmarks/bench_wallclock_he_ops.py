@@ -144,7 +144,7 @@ def test_tracing_overhead(quick):
             tracing.disable()
 
     assert tracing.get_tracer() is None, "tracing must start disabled"
-    reps = 15 if quick else 40
+    reps = 61 if quick else 121
     tracer = tracing.Tracer(capacity=128)
     clocked(False)  # warmup: buffers, backend resolution
     clocked(True)  # warmup: tracer thread-locals

@@ -28,4 +28,22 @@ __version__ = "1.0.0"
 
 from . import modmath
 
-__all__ = ["modmath", "__version__"]
+__all__ = ["modmath", "__version__", "at_least"]
+
+
+def at_least(lo, kind=int, *, strict=False):
+    """An argparse ``type=`` for ``python -m repro``'s numeric bounds.
+
+    Parses ``kind`` and rejects values below ``lo`` (at ``lo`` too when
+    ``strict``); argparse turns the rejection into a usage error, exit 2.
+    """
+    def parse(text):
+        value = kind(text)
+        if value < lo or (strict and value == lo):
+            from argparse import ArgumentTypeError
+
+            raise ArgumentTypeError(f"must be {'>' if strict else '>='} {lo}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value" on a bad literal
+    return parse

@@ -26,8 +26,8 @@ through ctypes.  Three fused kernel families cover the hot path:
 All kernels run multi-core: every call decomposes into independent
 ``(batch, limb)`` rows that an in-tree pthread worker pool spreads
 across cores (no OpenMP, so plain ``cc`` builds keep working).  Width
-comes from ``REPRO_NATIVE_THREADS`` / :func:`set_threads` /
-``set_backend(..., threads=N)``, auto-sized from ``os.cpu_count()``;
+comes from :func:`set_threads` / :func:`use_threads` /
+``REPRO_NATIVE_THREADS``, auto-sized from ``os.cpu_count()``;
 thread count never changes outputs (the A/B suite pins 1-thread vs
 N-thread bit-identical).
 

@@ -38,7 +38,7 @@ __all__ = [
     "set_backend", "get_backend", "use_backend",
     "kernels", "invalidate",
     "note_kernel_fault", "degrade", "breaker_state", "reset_breaker",
-    "kernel_fault_threshold",
+    "KERNEL_FAULT_THRESHOLD",
 ]
 
 logger = logging.getLogger("repro.native")
@@ -123,22 +123,14 @@ def get_backend() -> str:
     return kernels().name
 
 
-def set_backend(name: Optional[str], *, threads: Optional[int] = None) -> str:
+def set_backend(name: Optional[str]) -> str:
     """Select the execution backend process-wide; returns the resolved name.
 
     ``None`` or ``"auto"`` restores env-var/auto-detect behaviour.
     Requesting ``"native"`` when the kernel library cannot be built or
     loaded raises :class:`BackendUnavailableError`.
-
-    ``threads`` (optional) also sets the native worker-pool width —
-    shorthand for :func:`repro.native.set_threads`; it applies to the
-    native library regardless of which backend ends up selected.
     """
     global _EXPLICIT, _TABLE
-    if threads is not None:
-        from . import glue
-
-        glue.set_threads(threads)
     if name is not None:
         name = name.strip().lower()
         if name == _AUTO:
@@ -195,20 +187,7 @@ def invalidate() -> None:
 
 _BREAKER_FAULTS = 0        # consecutive kernel faults since last trip/reset
 _BREAKER_DEGRADED: Optional[str] = None   # tier the breaker moved to
-_DEFAULT_FAULT_THRESHOLD = 3
-
-
-def kernel_fault_threshold() -> int:
-    """Faults that trip the breaker (``REPRO_KERNEL_FAULT_THRESHOLD``)."""
-    env = os.environ.get("REPRO_KERNEL_FAULT_THRESHOLD", "").strip()
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return _DEFAULT_FAULT_THRESHOLD
+KERNEL_FAULT_THRESHOLD = 3  # consecutive faults that trip the breaker
 
 
 def note_kernel_fault(reason: str = "") -> Optional[str]:
@@ -222,7 +201,7 @@ def note_kernel_fault(reason: str = "") -> Optional[str]:
     global _BREAKER_FAULTS
     with _LOCK:
         _BREAKER_FAULTS += 1
-        tripped = _BREAKER_FAULTS >= kernel_fault_threshold()
+        tripped = _BREAKER_FAULTS >= KERNEL_FAULT_THRESHOLD
     if tripped:
         return degrade(reason=reason or "repeated kernel faults")
     return None
@@ -266,7 +245,7 @@ def breaker_state() -> dict:
     with _LOCK:
         return {
             "faults": _BREAKER_FAULTS,
-            "threshold": kernel_fault_threshold(),
+            "threshold": KERNEL_FAULT_THRESHOLD,
             "degraded_to": _BREAKER_DEGRADED,
         }
 

@@ -15,8 +15,8 @@ weights — held in the :class:`~repro.runtime.memcache.MemoryCache`.
 Entry points: :class:`HEServer` (in-process server), :class:`ServerClient`
 (synchronous or streaming client), :class:`SocketServer` /
 :class:`NetClient` (online TCP transport, pump-driven batching), and
-``python -m repro serve`` (CLI, ``--stream`` / ``--admission`` /
-``--listen HOST:PORT --pump-ms N``).
+``python -m repro serve`` (:mod:`repro.server.cli`: ``--stream`` /
+``--admission`` / ``--listen HOST:PORT --pump-ms N``).
 """
 
 from .admission import (

@@ -2,9 +2,10 @@
 
 One canonical workload recipe — a Poisson-ish arrival process of square
 and multiply requests over fresh encryptions — used by the
-``python -m repro fuse`` CLI, ``benchmarks/bench_ablation_fusion.py``
-and the fusion test suite, so all three exercise the *same* request mix
-and a change to the recipe lands everywhere at once.
+``python -m repro serve``, ``fuse`` and ``metrics`` commands,
+``benchmarks/bench_ablation_fusion.py`` and the fusion test suite, so
+all of them exercise the *same* request mix and a change to the recipe
+lands everywhere at once.
 
 Requests are returned as encoded wire frames: submitting the same bytes
 to two servers (e.g. fusion off vs on, admission off vs on, streaming vs
@@ -32,33 +33,43 @@ from .request import ServeRequest, encode_request
 __all__ = [
     "TrafficItem",
     "demo_deployment",
+    "demo_params",
     "mixed_square_multiply_traffic",
     "modelled_capacity_rps",
     "serve_traffic",
 ]
 
 
+def demo_params(degree: int = 1024):
+    """The demo deployment's parameters: 3 levels, 30/50/50-bit primes.
+
+    What ``python -m repro serve`` serves, with or without ``--listen``.
+    """
+    from ..core import CkksParameters
+
+    return CkksParameters.default(degree=degree, levels=3, scale_bits=30,
+                                  first_bits=50, special_bits=50)
+
+
 def demo_deployment(*, degree: int = 1024, seed: int = 2022):
     """A small CKKS deployment for self-tests and benchmarks.
 
-    NOT secure parameters — test scale only.  One recipe (levels,
-    scale/first/special bits, seed convention) shared by the CLI and the
-    CI benchmark so their A/B runs compare the same deployment.
+    NOT secure parameters — test scale only.  One recipe
+    (:func:`demo_params`, seed convention) shared by the CLI and the CI
+    benchmark so their A/B runs compare the same deployment.
 
     Returns ``(params, encoder, encryptor, decryptor, relin_wire)``.
     """
     from ..core import (
         CkksContext,
         CkksEncoder,
-        CkksParameters,
         Decryptor,
         Encryptor,
         KeyGenerator,
     )
     from ..core.serialize import save_relin_key, to_bytes
 
-    params = CkksParameters.default(degree=degree, levels=3, scale_bits=30,
-                                    first_bits=50, special_bits=50)
+    params = demo_params(degree)
     context = CkksContext(params)
     keygen = KeyGenerator(context, seed=seed)
     encoder = CkksEncoder(context)
@@ -163,7 +174,7 @@ def serve_traffic(
 ) -> HEServer:
     """Serve pre-framed traffic on a fresh server; returns it drained.
 
-    The A/B harness shared by ``python -m repro fuse``/``serve``,
+    The A/B harness shared by ``python -m repro fuse``/``metrics``,
     ``benchmarks/bench_ablation_fusion.py``, the overload bench and the
     serving tests: one place defines the device pool, batching policy
     and GPU config, so the CLI self-tests and the CI benchmarks cannot

@@ -66,8 +66,7 @@ class TestChaosSoak:
 
 
 class TestCircuitBreaker:
-    def test_trips_at_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_FAULT_THRESHOLD", raising=False)
+    def test_trips_at_threshold(self):
         start = backend.get_backend()
         if start == "serial":
             pytest.skip("already at the lowest tier")
@@ -79,6 +78,7 @@ class TestCircuitBreaker:
         state = backend.breaker_state()
         assert state["degraded_to"] == "serial"
         assert state["faults"] == 0  # counter cleared at the trip
+        assert state["threshold"] == backend.KERNEL_FAULT_THRESHOLD == 3
 
     def test_native_downgrade_counts_the_fallback(self):
         if not glue.available():
@@ -93,14 +93,6 @@ class TestCircuitBreaker:
         backend.set_backend("serial")
         assert backend.degrade() == "serial"
         assert backend.breaker_state()["degraded_to"] is None
-
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_FAULT_THRESHOLD", "7")
-        assert backend.kernel_fault_threshold() == 7
-        monkeypatch.setenv("REPRO_KERNEL_FAULT_THRESHOLD", "bogus")
-        assert backend.kernel_fault_threshold() == 3
-        monkeypatch.setenv("REPRO_KERNEL_FAULT_THRESHOLD", "0")
-        assert backend.kernel_fault_threshold() == 3
 
     def test_reset_breaker_clears_state(self):
         backend.note_kernel_fault()

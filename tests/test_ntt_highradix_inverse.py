@@ -1,8 +1,4 @@
-"""Tests for the high-radix inverse NTT and CLI entry points."""
-
-import pathlib
-import subprocess
-import sys
+"""Tests for the high-radix inverse NTT."""
 
 import numpy as np
 import pytest
@@ -72,43 +68,3 @@ class TestInverseGroupSemantics:
         with pytest.raises(ValueError):
             high_radix_inverse_group(np.zeros(64, dtype=np.uint64), t, 32, 6)
 
-
-class TestCli:
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *args],
-            capture_output=True, text=True, timeout=600,
-        )
-
-    def test_info(self):
-        r = self.run_cli("info")
-        assert r.returncode == 0
-        assert "arXiv:2109.14704" in r.stdout
-        docs = next(l for l in r.stdout.splitlines() if l.startswith("docs:"))
-        root = pathlib.Path(__file__).resolve().parents[1]
-        for name in docs.split()[1:]:
-            assert (root / name).is_file(), name
-
-    def test_devices(self):
-        r = self.run_cli("devices")
-        assert r.returncode == 0
-        assert "Device1" in r.stdout and "Device2" in r.stdout
-
-    def test_calibration_all_in_band(self):
-        r = self.run_cli("calibration")
-        assert r.returncode == 0
-        assert "18/18 calibration targets in band" in r.stdout
-
-    def test_figures_single(self):
-        r = self.run_cli("figures", "table1")
-        assert r.returncode == 0
-        assert "456" in r.stdout
-
-    def test_figures_unknown(self):
-        r = self.run_cli("figures", "fig99")
-        assert r.returncode == 2
-
-    def test_no_command_shows_help(self):
-        r = self.run_cli()
-        assert r.returncode == 2
-        assert "figures" in r.stdout
