@@ -112,7 +112,7 @@ def test_tracing_overhead(quick):
 
     Tracing must be free when disabled (the probes reduce to one global
     ``None`` check) and cost < 5% when enabled — the instrumented path
-    emits a few dozen kernel spans per multiply at the paper shape.
+    emits one kernel span per multiply (one ``dyadic_product`` call).
     Each rep times one untraced and one traced multiply back to back,
     toggling one long-lived tracer so tracer construction is not
     measured as span cost, and alternates which leg runs first so

@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 
 from . import modmath
 
-__all__ = ["modmath", "__version__", "at_least"]
+__all__ = ["modmath", "__version__", "at_least", "power_of_two"]
 
 
 def at_least(lo, kind=int, *, strict=False):
@@ -47,3 +47,16 @@ def at_least(lo, kind=int, *, strict=False):
 
     parse.__name__ = kind.__name__  # "invalid int value" on a bad literal
     return parse
+
+
+def power_of_two(text):
+    """An argparse ``type=`` for a ring degree: a power of two >= 2."""
+    value = at_least(2)(text)
+    if value & (value - 1):
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("must be a power of two >= 2")
+    return value
+
+
+power_of_two.__name__ = "int"  # "invalid int value" on a bad literal

@@ -6,8 +6,8 @@ key-switch mod-down (drop the special prime ``P``).  Mirrors SEAL's
 ``SEALContext`` chain of per-level data.  Every table stack comes from
 the one process-wide memo, :func:`repro.ntt.tables.get_stacked_tables`:
 level prefixes are views of the key base's stack, and the key-switch
-target rows and single dropped rows are stacks of their own there, held
-per context once looked up.
+target rows are a stack of their own there, held per context once
+looked up.
 
 All hot methods are written once against the stacked kernel entry
 points: whole ``(..., k, N)`` stacks move through stacked NTTs and
@@ -23,8 +23,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..modmath import Modulus, StackedModulus, inv_mod
-from ..modmath.barrett import barrett_reduce_64
-from ..modmath.ops import sub_mod
 from ..native import backend as _backend
 from ..ntt.radix2 import ntt_forward_stacked, ntt_inverse_stacked
 from ..ntt.tables import StackedNTTTables, get_stacked_tables
@@ -57,7 +55,6 @@ class CkksContext:
         self._scalar_cols: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         # Per-instance memos (plain dicts, not lru_cache, so discarded
         # contexts release their stacks with them).
-        self._stacked_rows_cache: Dict[Tuple[int, ...], StackedModulus] = {}
         self._tables_rows_cache: Dict[Tuple[int, ...], StackedNTTTables] = {}
         self._signed_col_cache: Dict[int, np.ndarray] = {}
 
@@ -80,14 +77,6 @@ class CkksContext:
     def stacked_modulus(self, level: int) -> StackedModulus:
         """Stacked ``(k, 1)`` columns of the first ``level`` key-base primes."""
         return self.key_base.stacked.prefix(level)
-
-    def stacked_rows(self, rows: Tuple[int, ...]) -> StackedModulus:
-        """Stacked columns over an arbitrary ordered key-base row subset."""
-        cached = self._stacked_rows_cache.get(rows)
-        if cached is None:
-            cached = StackedModulus(self.key_base[i] for i in rows)
-            self._stacked_rows_cache[rows] = cached
-        return cached
 
     def stacked_tables_rows(self, rows: Tuple[int, ...]) -> StackedNTTTables:
         """Stacked NTT tables over an arbitrary ordered key-base row subset.
@@ -148,8 +137,11 @@ class CkksContext:
             self._dropped_mod[key] = np.uint64(d % t.value)
         return self._inv_dropped[key], self._dropped_mod[key]
 
-    def _scalar_columns(self, dropped_idx: int, kept: int):
+    def divide_round_columns(self, dropped_idx: int, kept: int):
         """Divide-round constants as ``(kept, 1)`` columns, cached.
+
+        The trailing arguments of the kernel table's ``divide_round_drop``
+        and ``ks_accumulate`` entries.
 
         Returns ``(inv_d, inv_d_q_hi, inv_d_q_lo, d_mod)`` — the per-limb
         ``d^{-1}`` with its split Harvey quotient (for the one-``mulhi``
@@ -183,39 +175,21 @@ class CkksContext:
         to ``key_base[dropped_idx]`` (``q_{l-1}`` for rescale, the special
         prime for key-switch mod-down); rows ``0..k-2`` are ``q_0..q_{k-2}``.
 
-        Implements SEAL's sequence: iNTT the dropped row, center it, then
-        per kept prime subtract its (re-NTT-ed) reduction and multiply by
-        the dropped modulus' inverse — all element-wise in NTT form, as
-        five stacked calls over the whole kept stack.
+        SEAL's sequence (iNTT the dropped row, center it, then per kept
+        prime subtract its re-NTT-ed reduction and multiply by the
+        dropped modulus' inverse) is the kernel table's
+        ``divide_round_drop`` entry, over the stack of the matrix's rows.
         """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        k = matrix.shape[-2]
+        k = np.shape(matrix)[-2]
         if k < 2:
             raise ValueError("need at least two rows to drop one")
-        dropped = self.key_base[dropped_idx]
-        half = np.uint64(dropped.value >> 1)
-
-        # The dropped row transforms as a one-limb stack so the batched
-        # (component) axis rides the fast buffered kernel.
-        last_coeff = ntt_inverse_stacked(
-            matrix[..., k - 1 : k, :],
-            self.stacked_tables_rows((dropped_idx,)),
-        )[..., 0, :]
-        is_high = last_coeff > half
-        st = self.stacked_modulus(k - 1)
-        inv_d, q_hi, q_lo, d_mod = self._scalar_columns(dropped_idx, k - 1)
-        r = barrett_reduce_64(last_coeff[..., None, :], st)
-        # Centered representative: r - d when the residue is "negative"
-        # (subtracting 0 elsewhere is a value-exact no-op since r < q_j).
-        r = sub_mod(r, d_mod * is_high[..., None, :], st)
-        # Lazy forward transform + lazy difference: the [0, 4p) window
-        # folds into the final multiply by d^{-1}, so a backend may skip
-        # the NTT's correction pass (values unchanged).
-        r_ntt = ntt_forward_stacked(
-            r, self.stacked_tables.prefix(k - 1), lazy=True
-        )
-        return _backend.kernels().lazy_diff_mul_operand(
-            matrix[..., : k - 1, :], r_ntt, inv_d, q_hi, q_lo, st
+        if dropped_idx == k - 1:
+            tables = self.stacked_tables.prefix(k)
+        else:
+            tables = self.stacked_tables_rows(
+                tuple(range(k - 1)) + (dropped_idx,))
+        return _backend.kernels().divide_round_drop(
+            matrix, tables, *self.divide_round_columns(dropped_idx, k - 1)
         )
 
     def rescale_ntt(self, matrix: np.ndarray, level: int) -> np.ndarray:

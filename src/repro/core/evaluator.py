@@ -33,8 +33,9 @@ from typing import Tuple
 
 import numpy as np
 
-from ..modmath.ops import add_mod, mad_mod, mul_mod, neg_mod, sub_mod
+from ..modmath.ops import add_mod, mul_mod, neg_mod, sub_mod
 from ..native import backend as _backend
+from ..ntt.tables import StackedNTTTables
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .galois import apply_galois_ntt, conjugation_galois_elt, rotation_galois_elt
@@ -197,14 +198,20 @@ class Evaluator:
         special_idx = len(self.context.key_base) - 1
         return tuple(range(level)) + (special_idx,)
 
-    def _decompose_for_switch(self, poly_ntt: np.ndarray,
-                              level: int) -> np.ndarray:
+    def _switch_tables(self, level: int) -> StackedNTTTables:
+        """NTT tables of the key switch's target rows: the ``level``
+        current primes, then the special prime."""
+        return self.context.stacked_tables_rows(self._target_rows(level))
+
+    def _decompose_for_switch(self, poly_ntt: np.ndarray, level: int,
+                              tables: StackedNTTTables) -> np.ndarray:
         """Key-switch decomposition: the NTT-heavy half of _switch_key.
 
         Returns ``D`` of shape ``(level, level+1, N)`` in NTT form:
         ``D[i, r] = NTT_r([poly]_{q_i} mod modulus_r)`` for target row
-        ``r`` over the current primes plus the special prime.  This is
-        the part *hoisting* shares across rotations of one ciphertext.
+        ``r`` (``tables``) over the current primes plus the special
+        prime.  This is the part *hoisting* shares across rotations of
+        one ciphertext.
 
         The table entry is one stacked inverse NTT over all source
         primes, one broadcast Barrett reduction onto the ``(level,
@@ -212,59 +219,50 @@ class Evaluator:
         grid — fused into a single call without the two intermediate
         tensors when the backend has such a kernel.
         """
-        ctx = self.context
         return _backend.kernels().ks_decompose(
-            poly_ntt,
-            ctx.stacked_tables.prefix(level),
-            ctx.stacked_tables_rows(self._target_rows(level)),
+            poly_ntt, self.context.stacked_tables.prefix(level), tables
         )
 
     def _accumulate_switch(self, decomposed: np.ndarray, level: int,
-                           ksk: KSwitchKey) -> Tuple[np.ndarray, np.ndarray]:
+                           ksk: KSwitchKey,
+                           tables: StackedNTTTables) -> np.ndarray:
         """Dyadic half of the key switch: key products + mod-down by P.
 
-        Each source prime contributes one fused ``mad_mod`` over all
-        ``level + 1`` target rows (the paper's one-reduction
-        multiply-accumulate), instead of two calls per ``(i, r)`` pair.
+        Returns the ``(2, level, N)`` pair ``(d0, d1)``.  One table entry:
+        per target row, both key components' inner products over the
+        source primes (the paper's one-reduction multiply-accumulate,
+        key rows read in place), then both sums divided by the special
+        prime.
         """
         ctx = self.context
-        special_idx = len(ctx.key_base) - 1
-        target_rows = list(self._target_rows(level))
-        st_t = ctx.stacked_rows(tuple(target_rows))
-        acc0 = np.zeros((level + 1, ctx.degree), dtype=np.uint64)
-        acc1 = np.zeros((level + 1, ctx.degree), dtype=np.uint64)
-        for i in range(level):
-            key = ksk.data[i]
-            dn = decomposed[i]
-            acc0 = mad_mod(dn, key[0][target_rows], acc0, st_t)
-            acc1 = mad_mod(dn, key[1][target_rows], acc1, st_t)
-        d0 = ctx.divide_round_drop_ntt(acc0, special_idx)
-        d1 = ctx.divide_round_drop_ntt(acc1, special_idx)
-        return d0, d1
+        return _backend.kernels().ks_accumulate(
+            decomposed, ksk.data[:level], self._target_rows(level), tables,
+            *ctx.divide_round_columns(len(ctx.key_base) - 1, level),
+        )
 
     def _switch_key(
         self, poly_ntt: np.ndarray, level: int, ksk: KSwitchKey
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Key-switch one polynomial; returns (d0, d1) over ``level`` primes.
+    ) -> np.ndarray:
+        """Key-switch one polynomial; returns ``(d0, d1)`` over ``level`` primes.
 
         The NTT-dominated inner loop of Relin and Rotate: for each source
         prime the coefficient-form residue is re-reduced and re-NTT-ed per
         target prime (including the special prime), multiplied into the
-        key, accumulated, and finally divided by ``P`` (mod-down).
+        key, accumulated, and finally divided by ``P`` (mod-down) — two
+        kernel-table calls, ``ks_decompose`` and ``ks_accumulate``.
         """
-        decomposed = self._decompose_for_switch(poly_ntt, level)
-        return self._accumulate_switch(decomposed, level, ksk)
+        tables = self._switch_tables(level)
+        decomposed = self._decompose_for_switch(poly_ntt, level, tables)
+        return self._accumulate_switch(decomposed, level, ksk, tables)
 
     def relinearize(self, ct: Ciphertext, rlk: RelinKey) -> Ciphertext:
         """Shrink a size-3 ciphertext back to 2 (paper Relin)."""
         if ct.size != 3:
             raise ValueError("relinearize expects a size-3 ciphertext")
-        d0, d1 = self._switch_key(ct.data[2], ct.level, rlk.key)
-        out = np.empty((2, ct.level, ct.degree), dtype=np.uint64)
-        st = self._stacked(ct.level)
-        out[0] = add_mod(ct.data[0], d0, st)
-        out[1] = add_mod(ct.data[1], d1, st)
-        return Ciphertext(out, ct.scale)
+        d = self._switch_key(ct.data[2], ct.level, rlk.key)
+        return Ciphertext(
+            add_mod(ct.data[:2], d, self._stacked(ct.level)), ct.scale
+        )
 
     # -- modulus management --------------------------------------------------------------
 
@@ -340,13 +338,15 @@ class Evaluator:
             return []
         ctx = self.context
         level = ct.level
-        decomposed = self._decompose_for_switch(ct.data[1], level)
+        tables = self._switch_tables(level)
+        decomposed = self._decompose_for_switch(ct.data[1], level, tables)
         out = []
         for steps in steps_list:
             elt = rotation_galois_elt(steps, ctx.degree)
             ksk = galois_keys.get(elt)
             rotated_decomp = apply_galois_ntt(decomposed, elt)
-            d0, d1 = self._accumulate_switch(rotated_decomp, level, ksk)
+            d0, d1 = self._accumulate_switch(rotated_decomp, level, ksk,
+                                             tables)
             c0_rot = apply_galois_ntt(ct.data[0], elt)
             data = np.empty((2, level, ct.degree), dtype=np.uint64)
             data[0] = add_mod(c0_rot, d0, self._stacked(level))

@@ -10,18 +10,22 @@ traversal, so multiply and rescale sit at NumPy's per-pass cost floor.
 ``repro.native`` breaks the floor.  Small C sources ship in-tree
 (``csrc/kernels.c``), are compiled on first use with the system ``cc``
 into a cached shared library (``~/.cache/repro-native``), and are driven
-through ctypes.  Three fused kernel families cover the hot path:
+through ctypes.  Four fused kernel families cover the hot path:
 
 1. the full stacked forward/inverse NTT — all ``log2(N)`` butterfly
    stages per ``(batch, limb)`` row in one call, eight lanes at a time
    on AVX-512F/DQ CPUs (rows chosen once at load, bit-identical to the
    scalar rows; :func:`ntt_isa` names them);
-2. fused dyadic multiply/square and ``mad_mod`` accumulate for the
-   tensor product and key-switch loops;
-3. the divide-round/rescale tails (Harvey ``d^{-1}`` multiply fused with
-   the lazy difference, and the ``LastModulusScaler`` sequence);
-4. the fused key-switch decompose (iNTT -> Barrett -> NTT in one call)
-   feeding ``Evaluator._switch_key``.
+2. fused dyadic multiply/square and ``mad_mod`` for the tensor product;
+3. the divide-round tails: the NTT-form mod-down of rescale
+   (``divide_round_drop``: iNTT of the dropped row, Barrett, centering,
+   lazy NTT and the lazy difference times ``d^{-1}``, one pass per kept
+   row) and the ``LastModulusScaler`` sequence;
+4. the key switch of ``Evaluator._switch_key`` in two calls: the fused
+   decompose (iNTT -> Barrett -> NTT, the diagonal copied) and
+   ``ks_accumulate`` (both key components' inner products over the
+   source primes in 128 bits, one reduction per output, key rows read
+   in place, then the mod-down by the special prime).
 
 All kernels run multi-core: every call decomposes into independent
 ``(batch, limb)`` rows that an in-tree pthread worker pool spreads

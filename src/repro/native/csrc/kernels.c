@@ -700,7 +700,21 @@ EXPORT void repro_ntt_inverse(u64 *x, i64 batch, i64 k, i64 n,
  * Source primes are independent, so the pool splits on i.  Scratch-free:
  * out[i, 0] holds the canonical iNTT while rows 1.. are produced, then
  * reduces/transforms itself in place.
+ *
+ * The diagonal out[i, i] (target prime == source prime) is a copy of
+ * poly[i] when every element of that row is below p_i: the non-lazy
+ * iNTT, Barrett and NTT are then exact inverses (equal primes get equal
+ * tables, the root being a function of (n, p)), so the copy is
+ * bit-identical.  A row with a non-canonical element is transformed.
  * ------------------------------------------------------------------------- */
+
+/* 1 when every x[i] < p (one compare pass). */
+static int row_below(const u64 *x, i64 n, u64 p) {
+    u64 bad = 0;
+    for (i64 i = 0; i < n; ++i)
+        bad |= (u64)(x[i] >= p);
+    return bad == 0;
+}
 
 typedef struct {
     const u64 *poly;
@@ -716,21 +730,24 @@ static void job_ks_decompose(void *vctx, i64 begin, i64 end) {
     const ntt_row_set *rows = ntt_rows;
     for (i64 i = begin; i < end; ++i) {
         u64 *base = C->out + (size_t)i * tk * n;
-        memcpy(base, C->poly + (size_t)i * n, (size_t)n * sizeof(u64));
+        const u64 *src = C->poly + (size_t)i * n;
+        const i64 diag = C->tgt_p[i] == C->src_p[i]
+                         && row_below(src, n, C->src_p[i]) ? i : -1;
+        memcpy(base, src, (size_t)n * sizeof(u64));
         rows->inv(base, n, C->iw + (size_t)i * n, C->iwq + (size_t)i * n,
                     C->src_p[i], C->src_two_p[i],
                     C->ninv_w[i], C->ninv_q[i], 0);
-        for (i64 r = 1; r < tk; ++r) {
+        /* Row 0 holds the iNTT, so it is produced last. */
+        for (i64 r = tk - 1; r >= 0; --r) {
             u64 *orow = base + (size_t)r * n;
-            const u64 p = C->tgt_p[r], rhi = C->tgt_rhi[r];
-            rows->barrett(orow, base, n, p, rhi);
+            if (r == diag) {
+                memcpy(orow, src, (size_t)n * sizeof(u64));
+                continue;
+            }
+            const u64 p = C->tgt_p[r];
+            rows->barrett(orow, base, n, p, C->tgt_rhi[r]);
             rows->fwd(orow, n, C->fw + (size_t)r * n,
                         C->fwq + (size_t)r * n, p, C->tgt_two_p[r], 0);
-        }
-        {
-            const u64 p = C->tgt_p[0], rhi = C->tgt_rhi[0];
-            rows->barrett(base, base, n, p, rhi);
-            rows->fwd(base, n, C->fw, C->fwq, p, C->tgt_two_p[0], 0);
         }
     }
 }
@@ -1054,14 +1071,18 @@ EXPORT void repro_mul_operand(const u64 *x, u64 *out,
 }
 
 /* The divide-round tail: w*(m - r) mod p with r lazy in [0, 4p) —
- * one pass over the data instead of the serial oracle's ~12. */
+ * one pass over the data instead of the serial oracle's ~12.  out may
+ * alias r (the NTT-form mod-down computes r in the output row). */
+static inline void lazy_diff_mul_row(u64 *out, const u64 *m, const u64 *r,
+                                     i64 n, u64 w, u64 wq, u64 p) {
+    const u64 four_p = 4 * p;
+    for (i64 i = 0; i < n; ++i)
+        out[i] = csub(harvey_lazy(m[i] + four_p - r[i], w, wq, p), p);
+}
+
 ROW_JOB(lazy_diff_mul_operand, {
-    const u64 w = C->w[j], wq = C->wq[j];
-    const u64 p = C->p[j], four_p = C->two_p[j] * 2;
-    for (i64 i = 0; i < n; ++i) {
-        const u64 y = C->a[off + i] + four_p - C->b[off + i];
-        C->o0[off + i] = csub(harvey_lazy(y, w, wq, p), p);
-    }
+    lazy_diff_mul_row(C->o0 + off, C->a + off, C->b + off, n,
+                      C->w[j], C->wq[j], C->p[j]);
 })
 
 EXPORT void repro_lazy_diff_mul_operand(const u64 *m_arr, const u64 *r_arr,
@@ -1125,10 +1146,194 @@ EXPORT void repro_scaler_tail(const u64 *matrix, u64 *out,
     run_rows(job_scaler_tail, &C, k - 1, 4 * n);
 }
 
+/* ---------------------------------------------------------------------------
+ * NTT-form mod-down: divide-and-round by the last prime d of a k-row
+ * stack, in NTT form (CkksContext.divide_round_drop_ntt, SEAL's
+ * sequence).  For each batch b the dropped row is iNTT-ed once into
+ * canonical coefficients `last`; then each kept row j is one pass over
+ * one output row: Barrett of `last` into q_j, the centering correction
+ * (subtract d mod q_j where the coefficient is above d/2), the lazy
+ * forward NTT, and the lazy difference times d^{-1} against the kept
+ * row m_j.  r lives in the output row itself, so `last` is the only
+ * scratch.  Tables and constants are the stack's: rows 0..k-2 are the
+ * kept primes, row k-1 (= kept) the dropped one.
+ * ------------------------------------------------------------------------- */
+
+typedef struct {
+    const u64 *m;       /* kept row j of batch b at m + (b*mk + j)*n */
+    u64 *last;          /* dropped row of batch b at last + b*stride */
+    u64 *out;           /* (batch, kept, n) */
+    i64 mk, stride, batch, kept, n;
+    const u64 *w, *wq, *iw, *iwq;               /* (k, n) */
+    const u64 *p, *two_p, *rhi, *ninv_w, *ninv_q; /* (k,) */
+    const u64 *inv_w, *inv_wq, *d_mod;          /* (kept,) */
+} mdctx;
+
+static void job_moddown_last(void *vctx, i64 begin, i64 end) {
+    const mdctx *C = (const mdctx *)vctx;
+    const i64 d = C->kept, n = C->n;
+    for (i64 b = begin; b < end; ++b)
+        ntt_rows->inv(C->last + (size_t)b * C->stride, n,
+                      C->iw + (size_t)d * n, C->iwq + (size_t)d * n,
+                      C->p[d], C->two_p[d], C->ninv_w[d], C->ninv_q[d], 0);
+}
+
+static void job_moddown_rows(void *vctx, i64 begin, i64 end) {
+    const mdctx *C = (const mdctx *)vctx;
+    const i64 n = C->n;
+    const u64 half = C->p[C->kept] >> 1;
+    const ntt_row_set *rows = ntt_rows;
+    for (i64 u = begin; u < end; ++u) {
+        const i64 b = u / C->kept, j = u % C->kept;
+        const u64 *last = C->last + (size_t)b * C->stride;
+        const u64 p = C->p[j], dm = C->d_mod[j];
+        u64 *o = C->out + (size_t)u * n;
+        rows->barrett(o, last, n, p, C->rhi[j]);
+        for (i64 i = 0; i < n; ++i)
+            o[i] = csub(o[i] + p - (last[i] > half ? dm : 0), p);
+        rows->fwd(o, n, C->w + (size_t)j * n, C->wq + (size_t)j * n,
+                  p, C->two_p[j], 1);
+        lazy_diff_mul_row(o, C->m + ((size_t)b * C->mk + j) * n, o, n,
+                          C->inv_w[j], C->inv_wq[j], p);
+    }
+}
+
+static void moddown(const mdctx *C) {
+    run_rows(job_moddown_last, (void *)C, C->batch, 12 * C->n);
+    run_rows(job_moddown_rows, (void *)C, C->batch * C->kept, 16 * C->n);
+}
+
+/* matrix (batch, k, n) -> out (batch, k-1, n); `last` is (batch, n)
+ * scratch for the dropped rows. */
+EXPORT void repro_divide_round_drop(const u64 *matrix, u64 *last, u64 *out,
+                                    i64 batch, i64 k, i64 n,
+                                    const u64 *w, const u64 *wq,
+                                    const u64 *iw, const u64 *iwq,
+                                    const u64 *p_arr, const u64 *two_p_arr,
+                                    const u64 *rhi_arr,
+                                    const u64 *ninv_w, const u64 *ninv_q,
+                                    const u64 *inv_w, const u64 *inv_wq,
+                                    const u64 *d_mod) {
+    for (i64 b = 0; b < batch; ++b)
+        memcpy(last + (size_t)b * n, matrix + ((size_t)b * k + k - 1) * n,
+               (size_t)n * sizeof(u64));
+    const mdctx C = {matrix, last, out, k, n, batch, k - 1, n,
+                     w, wq, iw, iwq, p_arr, two_p_arr, rhi_arr,
+                     ninv_w, ninv_q, inv_w, inv_wq, d_mod};
+    moddown(&C);
+}
+
+/* ---------------------------------------------------------------------------
+ * Key-switch dyadic half: acc[c, r] = sum_i D[i, r] * key_i[c][row_r]
+ * (mod p_r) for both key components c and every target row r (the
+ * level primes, then the special prime), then the mod-down by the
+ * special prime onto the level primes — the paper's mad_mod
+ * accumulation with no intermediate writeback (Sec. III-A.1).
+ *
+ * Each output is accumulated in 128 bits over the source primes and
+ * reduced once (Harvey's lazy reduction).  D and the keys are canonical
+ * (< p_r), so a term is below 2^(2b) for a b-bit p_r: 2^(128 - 2b) terms
+ * plus a carried canonical value stay below 2^128, and the sum is
+ * reduced early after each such group (every 64 terms for 61-bit
+ * primes).  reduce128 of the exact sum is the canonical residue the
+ * serial mad_mod chain ends on, so the output is bit-identical.
+ *
+ * The key rows are read in place: key_ptrs holds the address of each
+ * source prime's (2, K, n) key block and key_rows the key-base row of
+ * each target row, so no row is gathered or copied.  The pool splits
+ * the accumulation on target rows; `acc` is the (2, T, n) scratch of
+ * canonical sums, whose special-prime rows the mod-down iNTTs in place.
+ * Tables and constants are the (T,)-row target stack's.
+ * ------------------------------------------------------------------------- */
+
+#define KS_BLOCK 256
+
+typedef struct {
+    const u64 *D;
+    const u64 *keys;    /* (level,) addresses of the (2, K, n) key blocks */
+    const i64 *key_rows;
+    u64 *acc;
+    i64 level, T, K, n;
+    const u64 *p, *two_p, *rhi, *c64, *c64q;
+} kactx;
+
+static inline void reduce_block(u128 *a, i64 len, u64 p, u64 two_p, u64 rhi,
+                                u64 c64, u64 c64q) {
+    for (i64 c = 0; c < len; ++c)
+        a[c] = reduce128((u64)(a[c] >> 64), (u64)a[c],
+                         p, two_p, rhi, c64, c64q);
+}
+
+static void job_ks_accumulate(void *vctx, i64 begin, i64 end) {
+    const kactx *C = (const kactx *)vctx;
+    const i64 n = C->n, T = C->T;
+    u128 a0[KS_BLOCK], a1[KS_BLOCK];
+    for (i64 r = begin; r < end; ++r) {
+        const u64 p = C->p[r], two_p = C->two_p[r], rhi = C->rhi[r];
+        const u64 c64 = C->c64[r], c64q = C->c64q[r];
+        const int bits = 64 - __builtin_clzll(p);
+        const i64 group = 128 - 2 * bits >= 62 ? C->level
+                          : (i64)1 << (128 - 2 * bits);
+        const size_t k0 = (size_t)C->key_rows[r] * n;
+        const size_t k1 = k0 + (size_t)C->K * n;
+        u64 *out0 = C->acc + (size_t)r * n;
+        u64 *out1 = out0 + (size_t)T * n;
+        for (i64 b0 = 0; b0 < n; b0 += KS_BLOCK) {
+            const i64 len = n - b0 < KS_BLOCK ? n - b0 : KS_BLOCK;
+            memset(a0, 0, (size_t)len * sizeof(u128));
+            memset(a1, 0, (size_t)len * sizeof(u128));
+            for (i64 i = 0; i < C->level; ++i) {
+                if (i > 0 && i % group == 0) {
+                    reduce_block(a0, len, p, two_p, rhi, c64, c64q);
+                    reduce_block(a1, len, p, two_p, rhi, c64, c64q);
+                }
+                const u64 *d = C->D + ((size_t)i * T + r) * n + b0;
+                const u64 *key = (const u64 *)(uintptr_t)C->keys[i];
+                const u64 *x0 = key + k0 + b0;
+                const u64 *x1 = key + k1 + b0;
+                for (i64 c = 0; c < len; ++c) {
+                    a0[c] += (u128)d[c] * x0[c];
+                    a1[c] += (u128)d[c] * x1[c];
+                }
+            }
+            for (i64 c = 0; c < len; ++c) {
+                out0[b0 + c] = reduce128((u64)(a0[c] >> 64), (u64)a0[c],
+                                         p, two_p, rhi, c64, c64q);
+                out1[b0 + c] = reduce128((u64)(a1[c] >> 64), (u64)a1[c],
+                                         p, two_p, rhi, c64, c64q);
+            }
+        }
+    }
+}
+
+/* D (level, T, n) with T = level + 1, key blocks (2, K, n) -> out
+ * (2, level, n), through the (2, T, n) scratch acc. */
+EXPORT void repro_ks_accumulate(const u64 *D, const u64 *key_ptrs,
+                                const i64 *key_rows, u64 *acc, u64 *out,
+                                i64 level, i64 K, i64 n,
+                                const u64 *w, const u64 *wq,
+                                const u64 *iw, const u64 *iwq,
+                                const u64 *p_arr, const u64 *two_p_arr,
+                                const u64 *rhi_arr, const u64 *c64_arr,
+                                const u64 *c64q_arr,
+                                const u64 *ninv_w, const u64 *ninv_q,
+                                const u64 *inv_w, const u64 *inv_wq,
+                                const u64 *d_mod) {
+    const i64 T = level + 1;
+    const kactx A = {D, key_ptrs, key_rows, acc, level, T, K, n,
+                     p_arr, two_p_arr, rhi_arr, c64_arr, c64q_arr};
+    run_rows(job_ks_accumulate, (void *)&A, T, 8 * level * n);
+    const mdctx C = {acc, acc + (size_t)level * n, out, T, T * n, 2, level,
+                     n, w, wq, iw, iwq, p_arr, two_p_arr, rhi_arr,
+                     ninv_w, ninv_q, inv_w, inv_wq, d_mod};
+    moddown(&C);
+}
+
 /* Sanity hook: lets the loader verify the ABI after a cache hit.
  * v2: threaded row pool + repro_ks_decompose + thread controls.
  * v3: load-time NTT row selection (repro_native_ntt_isa and
- *     repro_native_force_scalar_rows). */
+ *     repro_native_force_scalar_rows).
+ * v4: repro_ks_accumulate and repro_divide_round_drop. */
 EXPORT i64 repro_native_abi_version(void) {
-    return 3;
+    return 4;
 }

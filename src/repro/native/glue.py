@@ -3,7 +3,8 @@
 :data:`KERNELS` maps each ``KernelTable`` field to its native caller.
 Twelve callers are generated, one per :class:`_RowKernel` declaration in
 :data:`_ROW_KERNELS`, which also yields their ctypes argtypes; the two
-NTTs, ``ks_decompose`` and ``scaler_tail`` are written out by hand.
+NTTs, ``ks_decompose``, ``ks_accumulate``, ``divide_round_drop`` and
+``scaler_tail`` are written out by hand.
 Every caller takes the same operands as its serial counterpart (arrays
 plus a ``StackedModulus`` / ``StackedNTTTables``-shaped object,
 duck-typed so this module imports nothing from :mod:`repro.modmath`) and
@@ -213,6 +214,8 @@ _SIGS.update({
                           _PTR, _PTR, _PTR, _PTR, _PTR],
     "repro_ks_decompose": [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR,
                            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "repro_divide_round_drop": [_PTR] * 3 + [_I64] * 3 + [_PTR] * 12,
+    "repro_ks_accumulate": [_PTR] * 5 + [_I64] * 3 + [_PTR] * 14,
 })
 
 #: argtypes per control export (restype int64; untraced, not kernels).
@@ -224,7 +227,7 @@ _CONTROLS = {
     "repro_native_force_scalar_rows": [_I64],
 }
 
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 #: ``repro_native_ntt_isa`` codes, by value.
 _NTT_ISAS = ("scalar", "avx512")
@@ -642,7 +645,114 @@ def ks_decompose(poly_ntt, inv_tables, fwd_tables):
     return out
 
 
+def _stack_ptrs(st_tables):
+    """Addresses of a stack's twiddles and per-row constants (memoized).
+
+    ``(w, wq, iw, iwq, p, two_p, rhi, c64, c64q, ninv_w, ninv_q)``, the
+    argument order of the mod-down exports; None when a twiddle matrix
+    is not C-contiguous.
+    """
+    K = _tables_consts(st_tables)
+    ptrs = K.get("ptrs")
+    if ptrs is None:
+        twiddles = (st_tables.w, st_tables.wq, st_tables.iw, st_tables.iwq)
+        if not all(t.flags.c_contiguous for t in twiddles):
+            return None
+        mods = _mod_consts(st_tables.modulus)
+        ptrs = K["ptrs"] = tuple(map(_ptr, (
+            *twiddles, K["p"], K["two_p"], mods["rhi"], mods["c64"],
+            mods["c64q"], K["ninv_w"], K["ninv_q"])))
+    return ptrs
+
+
+def _moddown_cols(inv_d, inv_d_q_hi, inv_d_q_lo, d_mod, kept: int):
+    """The ``d^{-1}`` Harvey operand and ``d mod q_j`` as ``(kept,)``
+    arrays, or None when the columns do not have ``kept`` rows."""
+    cols = _operand_cols(inv_d, inv_d_q_hi, inv_d_q_lo, kept)
+    d_mod = np.asarray(d_mod, dtype=np.uint64)
+    if cols is None or d_mod.size != kept:
+        return None
+    return (*cols, np.ascontiguousarray(d_mod.reshape(kept)))
+
+
+def divide_round_drop(matrix, tables, inv_d, inv_d_q_hi, inv_d_q_lo, d_mod):
+    """NTT-form mod-down of a ``(..., k, n)`` stack in one call.
+
+    ``tables`` covers the matrix's ``k`` rows, the dropped prime last.
+    Bit-identical to the serial sequence (iNTT of the dropped row,
+    Barrett, centering, lazy NTT, lazy difference times ``d^{-1}``), or
+    None when ineligible.
+    """
+    lib = _lib()
+    if lib is None:
+        return None
+    k, n = len(tables), tables.degree
+    matrix = np.asarray(matrix)
+    if k < 2 or matrix.ndim < 2 or matrix.shape[-2:] != (k, n):
+        return None
+    ptrs = _stack_ptrs(tables)
+    cols = _moddown_cols(inv_d, inv_d_q_hi, inv_d_q_lo, d_mod, k - 1)
+    if ptrs is None or cols is None:
+        return None
+    matrix = np.ascontiguousarray(matrix, dtype=np.uint64)
+    lead = matrix.shape[:-2]
+    batch = int(np.prod(lead, dtype=np.int64))
+    last = np.empty((batch, n), dtype=np.uint64)
+    out = np.empty(lead + (k - 1, n), dtype=np.uint64)
+    w, wq, iw, iwq, p, two_p, rhi, _, _, ninv_w, ninv_q = ptrs
+    lib.repro_divide_round_drop(
+        _ptr(matrix), _ptr(last), _ptr(out), batch, k, n,
+        w, wq, iw, iwq, p, two_p, rhi, ninv_w, ninv_q, *map(_ptr, cols))
+    return out
+
+
+def ks_accumulate(D, key_blocks, target_rows, tables,
+                  inv_d, inv_d_q_hi, inv_d_q_lo, d_mod):
+    """Key-switch dyadic half plus mod-down by the special prime, one call.
+
+    ``D`` is the ``(level, T, n)`` decomposition over the ``T = level + 1``
+    target rows, ``key_blocks`` the ``level`` ``(2, K, n)`` key blocks of
+    the source primes, read in place at key-base rows ``target_rows``,
+    and ``tables`` the target rows' stack (special prime last).  Returns
+    the ``(2, level, n)`` switched pair, bit-identical to the serial
+    ``mad_mod`` chain and mod-downs, or None when ineligible.  ``D`` and
+    the keys must be canonical, as ``ks_decompose`` and key generation
+    leave them.
+    """
+    lib = _lib()
+    if lib is None:
+        return None
+    T, n = len(tables), tables.degree
+    level = T - 1
+    D = np.asarray(D)
+    if level < 1 or D.shape != (level, T, n) or len(key_blocks) != level \
+            or len(target_rows) != T:
+        return None
+    K = np.shape(key_blocks[0])[1] if np.ndim(key_blocks[0]) == 3 else 0
+    for block in key_blocks:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.uint64
+                and block.shape == (2, K, n) and block.flags.c_contiguous):
+            return None
+    rows = np.array(target_rows, dtype=np.int64)
+    if rows.min() < 0 or rows.max() >= K:
+        return None
+    ptrs = _stack_ptrs(tables)
+    cols = _moddown_cols(inv_d, inv_d_q_hi, inv_d_q_lo, d_mod, level)
+    if ptrs is None or cols is None:
+        return None
+    D = np.ascontiguousarray(D, dtype=np.uint64)
+    keys = np.array([block.ctypes.data for block in key_blocks],
+                    dtype=np.uint64)
+    acc = np.empty((2, T, n), dtype=np.uint64)
+    out = np.empty((2, level, n), dtype=np.uint64)
+    lib.repro_ks_accumulate(
+        _ptr(D), _ptr(keys), _ptr(rows), _ptr(acc), _ptr(out), level, K, n,
+        *ptrs, *map(_ptr, cols))
+    return out
+
+
 #: ``KernelTable`` field -> native caller (``None`` = take the serial body).
 KERNELS = {field: _row_caller(spec) for field, spec in _ROW_KERNELS.items()}
 KERNELS.update(ntt_forward=ntt_forward, ntt_inverse=ntt_inverse,
-               ks_decompose=ks_decompose, scaler_tail=scaler_tail)
+               ks_decompose=ks_decompose, ks_accumulate=ks_accumulate,
+               divide_round_drop=divide_round_drop, scaler_tail=scaler_tail)

@@ -2,8 +2,9 @@
 
 Every stacked entry point — ``add/sub/neg/mul/mad_mod`` and the Barrett
 reductions on a ``StackedModulus``, the tensor products, the constant-
-operand multiplies, the stacked NTTs, the key-switch decompose and the
-scaler tail — reads its implementation from one :class:`KernelTable`.
+operand multiplies, the stacked NTTs, the key switch's two halves
+(decompose, accumulate), the NTT-form mod-down and the scaler tail —
+reads its implementation from one :class:`KernelTable`.
 The tables share one surface and one set of output values:
 
 ``NATIVE``
@@ -16,8 +17,9 @@ The tables share one surface and one set of output values:
     reference kernels, with the textbook tensor-product cross term
     ``add(mul(a0, b1), mul(a1, b0))``, row-by-row transforms, and the
     canonical ``mul(sub(m, reduce(r)), d^-1)`` divide-round tail.  The
-    two composites (``ks_decompose``, ``scaler_tail``) are plain
-    sequences of stacked entry points.
+    four composites (``ks_decompose``, ``ks_accumulate``,
+    ``divide_round_drop``, ``scaler_tail``) are plain sequences of
+    stacked entry points.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import numpy as np
 from ..modmath import barrett, ops
 from ..modmath.harvey import reduce_from_lazy
 from ..ntt import radix2
+from ..ntt.tables import get_stacked_tables
+from . import backend as _backend
 from . import glue
 
 __all__ = ["KernelTable", "NATIVE", "SERIAL", "TABLES"]
@@ -59,6 +63,8 @@ class KernelTable(NamedTuple):
     ntt_forward: Callable
     ntt_inverse: Callable
     ks_decompose: Callable
+    ks_accumulate: Callable
+    divide_round_drop: Callable
     scaler_tail: Callable
 
 
@@ -74,6 +80,70 @@ def _ks_decompose_unfused(poly_ntt, inv_tables, fwd_tables):
     d = radix2.ntt_inverse_stacked(poly_ntt, inv_tables)
     reduced = barrett.barrett_reduce_64(d[:, None, :], fwd_tables.modulus)
     return radix2.ntt_forward_stacked(reduced, fwd_tables)
+
+
+def _divide_round_drop_unfused(matrix, tables, inv_d, inv_d_q_hi,
+                              inv_d_q_lo, d_mod):
+    """Drop the last row and divide-and-round by its prime, in NTT form.
+
+    ``matrix`` is ``(..., k, N)`` over the ``k`` rows of ``tables``: rows
+    ``0..k-2`` are the kept primes, row ``k-1`` the dropped prime ``d``;
+    the columns are ``d^{-1}`` (with its split Harvey quotient) and
+    ``d mod q_j`` over the kept primes.  SEAL's sequence: iNTT the
+    dropped row, center it, then per kept prime subtract its (re-NTT-ed)
+    reduction and multiply by ``d^{-1}`` — five stacked calls over the
+    whole kept stack.
+    """
+    matrix = np.asarray(matrix, dtype=np.uint64)
+    k = matrix.shape[-2]
+    if k < 2:
+        raise ValueError("need at least two rows to drop one")
+    dropped = tables.modulus[k - 1]
+    half = np.uint64(dropped.value >> 1)
+
+    # The dropped row transforms as a one-limb stack so the batched
+    # (component) axis rides the fast buffered kernel.
+    last_coeff = radix2.ntt_inverse_stacked(
+        matrix[..., k - 1 : k, :],
+        get_stacked_tables(tables.degree, [dropped]),
+    )[..., 0, :]
+    is_high = last_coeff > half
+    kept = tables.prefix(k - 1)
+    st = kept.modulus
+    r = barrett.barrett_reduce_64(last_coeff[..., None, :], st)
+    # Centered representative: r - d when the residue is "negative"
+    # (subtracting 0 elsewhere is a value-exact no-op since r < q_j).
+    r = ops.sub_mod(r, d_mod * is_high[..., None, :], st)
+    # Lazy forward transform + lazy difference: the [0, 4p) window
+    # folds into the final multiply by d^{-1}, so a backend may skip
+    # the NTT's correction pass (values unchanged).
+    r_ntt = radix2.ntt_forward_stacked(r, kept, lazy=True)
+    return _backend.kernels().lazy_diff_mul_operand(
+        matrix[..., : k - 1, :], r_ntt, inv_d, inv_d_q_hi, inv_d_q_lo, st
+    )
+
+
+def _ks_accumulate_unfused(decomposed, key_blocks, target_rows, tables,
+                           inv_d, inv_d_q_hi, inv_d_q_lo, d_mod):
+    """Key products + mod-down by the special prime (last target row).
+
+    Each source prime contributes one ``mad_mod`` over all ``level + 1``
+    target rows, its key block gathered at ``target_rows``; both sums
+    then drop the special prime.
+    """
+    level = len(key_blocks)
+    target_rows = list(target_rows)
+    st_t = tables.modulus
+    acc0 = np.zeros((level + 1, tables.degree), dtype=np.uint64)
+    acc1 = np.zeros((level + 1, tables.degree), dtype=np.uint64)
+    for i in range(level):
+        key = key_blocks[i]
+        dn = decomposed[i]
+        acc0 = ops.mad_mod(dn, key[0][target_rows], acc0, st_t)
+        acc1 = ops.mad_mod(dn, key[1][target_rows], acc1, st_t)
+    drop = _backend.kernels().divide_round_drop
+    cols = (inv_d, inv_d_q_hi, inv_d_q_lo, d_mod)
+    return np.stack([drop(acc0, tables, *cols), drop(acc1, tables, *cols)])
 
 
 def _scaler_tail_unfused(matrix, half_d, kept_st, inv_d, inv_d_quot, d_mod):
@@ -179,6 +249,8 @@ SERIAL = KernelTable(
     ntt_forward=_ntt_rows(radix2.ntt_forward),
     ntt_inverse=_ntt_rows(radix2.ntt_inverse),
     ks_decompose=_ks_decompose_unfused,
+    ks_accumulate=_ks_accumulate_unfused,
+    divide_round_drop=_divide_round_drop_unfused,
     scaler_tail=_scaler_tail_unfused,
 )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-from .. import at_least
+from .. import at_least, power_of_two
 
 
 def _parse_listen(spec: str) -> tuple:
@@ -244,7 +244,7 @@ def add_serve(parser: argparse.ArgumentParser) -> None:
                         help="batch size budget (default 8)")
     parser.add_argument("--window-us", type=at_least(0, float), default=200.0,
                         help="batching latency budget in us (default 200)")
-    parser.add_argument("--degree", type=int, default=1024,
+    parser.add_argument("--degree", type=power_of_two, default=1024,
                         help="CKKS ring degree (default 1024; test-scale)")
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--fusion", action="store_true",
@@ -257,12 +257,13 @@ def add_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--admission", action="store_true",
                         help="enable token-bucket + backlog admission "
                              "control (typed 'overloaded' responses)")
-    parser.add_argument("--admission-rate", type=float, default=20_000.0,
+    parser.add_argument("--admission-rate",
+                        type=at_least(0, float, strict=True), default=20_000.0,
                         help="admission token refill rate in req/s "
                              "(default 20000; size to modelled capacity)")
-    parser.add_argument("--admission-burst", type=int, default=8,
+    parser.add_argument("--admission-burst", type=at_least(1), default=8,
                         help="admission token-bucket depth (default 8)")
-    parser.add_argument("--admission-backlog", type=int, default=16,
+    parser.add_argument("--admission-backlog", type=at_least(1), default=16,
                         help="modelled backlog bound in requests (default 16)")
     parser.add_argument("--workers", type=at_least(0), default=0,
                         help="evaluation worker threads (0/1 = inline; "
@@ -278,7 +279,7 @@ def add_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tenant-rate", type=at_least(0, float), default=0.0,
                         help="per-tenant token refill rate in req/s "
                              "(0 = no per-tenant fairness)")
-    parser.add_argument("--tenant-burst", type=int, default=8,
+    parser.add_argument("--tenant-burst", type=at_least(1), default=8,
                         help="per-tenant token-bucket depth (default 8)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="enable span tracing and write a Chrome "
@@ -294,7 +295,7 @@ def add_metrics(parser: argparse.ArgumentParser) -> None:
                         help="synthetic requests to serve (default 16)")
     parser.add_argument("--workers", type=int, default=2,
                         help="evaluation worker threads (default 2)")
-    parser.add_argument("--degree", type=int, default=1024,
+    parser.add_argument("--degree", type=power_of_two, default=1024,
                         help="CKKS ring degree (default 1024; test-scale)")
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--json", action="store_true",

@@ -791,3 +791,109 @@ def test_native_ntt_isa_is_chosen_at_load():
     with glue._scalar_ntt_rows():
         assert repro_native.ntt_isa() == "scalar"
     assert repro_native.ntt_isa() == isa
+
+
+# -- the key switch's accumulate and the NTT-form mod-down ----------------------
+
+
+def _divide_round_cols(primes, kept):
+    """``divide_round_drop``'s columns for dropping ``primes[kept]``."""
+    d = primes[kept]
+    inv = [pow(d % q, -1, q) for q in primes[:kept]]
+    quot = [(w << 64) // q for w, q in zip(inv, primes)]
+    col = functools.partial(np.array, dtype=np.uint64)
+    return (col(inv)[:, None], col([x >> 32 for x in quot])[:, None],
+            col([x & 0xFFFFFFFF for x in quot])[:, None],
+            col([d % q for q in primes[:kept]])[:, None])
+
+
+def test_native_ks_accumulate_reduces_early_without_overflow():
+    """65 source rows of 61-bit primes with every ``D`` and key value at
+    ``p - 1``: each term is ~2^122, so the 128-bit sum must be reduced
+    after every 64 terms.  The native call equals the serial composite."""
+    from repro.modmath import gen_ntt_primes
+    from repro.native import glue
+    from repro.native.tables import SERIAL
+
+    level, n = 65, 16
+    primes = gen_ntt_primes([61] * (level + 1), n)
+    assert all(p.bit_length() == 61 for p in primes)
+    tables = get_stacked_tables(n, primes)
+    top = np.array(primes, dtype=np.uint64)[:, None] - np.uint64(1)
+    D = np.broadcast_to(top, (level, level + 1, n)).copy()
+    keys = [np.broadcast_to(top, (2, level + 1, n)).copy()
+            for _ in range(level)]
+    rows = tuple(range(level + 1))
+    cols = _divide_round_cols(primes, level)
+    got = _under("native", lambda: glue.ks_accumulate(
+        D, keys, rows, tables, *cols))
+    assert got is not None
+    want = _under("serial", lambda: SERIAL.ks_accumulate(
+        D, keys, rows, tables, *cols))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", NTT_ROWS)
+def test_native_ks_decompose_diagonal_matches_serial(rows):
+    """The diagonal row is a copy of the source row only when that row is
+    canonical: a residue ``p_i + 1`` makes it transform, as serial does."""
+    from repro.native.backend import kernels
+
+    ctx = CkksContext(CkksParameters.default(degree=64, levels=3))
+    level = ctx.max_level
+    inv = ctx.stacked_tables.prefix(level)
+    fwd = ctx.stacked_tables_rows(
+        tuple(range(level)) + (len(ctx.key_base) - 1,))
+    rng = np.random.default_rng(17)
+    poly = _rand_rows(rng, list(ctx.ct_base)[:level], (64,))
+    bumped = poly.copy()
+    bumped[1, 5] = ctx.modulus(1).value + 1
+
+    def run():
+        return [kernels().ks_decompose(x, inv, fwd) for x in (poly, bumped)]
+
+    got, want = _under_rows(rows, run), _under("serial", run)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not np.array_equal(got[1][1, 1], bumped[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _switch_case(degree):
+    """``(run, serial outputs)`` of every key-switching op and rescale."""
+    params = CkksParameters.default(
+        degree=degree, levels=2, scale_bits=25, first_bits=40,
+        special_bits=40)
+    ctx = CkksContext(params)
+    keygen = KeyGenerator(ctx, seed=degree)
+    rlk = keygen.relin_key()
+    gk = keygen.galois_keys([1, 2], include_conjugate=True)
+    ev = Evaluator(ctx)
+    rng = np.random.default_rng(degree + 1)
+    scale = float(params.scale)
+    level = ctx.max_level
+    a = _random_ct(rng, ctx, 2, level, scale)
+    t3 = _random_ct(rng, ctx, 3, level, scale)
+    low = _random_ct(rng, ctx, 2, level - 1, scale)
+
+    def run():
+        return [
+            ev.relinearize(t3, rlk), ev.rotate(a, 1, gk),
+            ev.conjugate(a, gk), *ev.rotate_hoisted(a, [1, 2], gk),
+            ev.rotate(low, 2, gk), ev.rescale(a), ev.rescale(t3),
+        ]
+
+    return run, [ct.data for ct in _under("serial", run)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rows", NTT_ROWS)
+@pytest.mark.parametrize("degree", [16, 1024, 16384])
+def test_native_key_switch_ops_match_serial(degree, rows, threads):
+    """relinearize, rotate, conjugate, rotate_hoisted and rescale: native
+    == serial on both NTT row sets at 1 and 2 kernel threads."""
+    run, want = _switch_case(degree)
+    with use_threads(threads):
+        got = _under_rows(rows, run)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g.data, w), i

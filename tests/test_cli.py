@@ -105,6 +105,15 @@ def test_command_help_imports_only_its_module(name):
     ["serve", "--workers", "-1"],
     ["serve", "--pump-ms", "0"],
     ["serve", "--tenant-rate", "-0.5"],
+    ["serve", "--degree", "1000"],
+    ["serve", "--degree", "1"],
+    ["serve", "--degree", "0"],
+    ["serve", "--admission-burst", "0"],
+    ["serve", "--admission-backlog", "0"],
+    ["serve", "--admission-rate", "0"],
+    ["serve", "--admission-rate", "-5"],
+    ["serve", "--tenant-burst", "0"],
+    ["metrics", "--degree", "48"],
     ["fuse", "--requests", "1"],
     ["native", "--threads", "0"],
     ["metrics", "--requests", "0"],

@@ -245,7 +245,8 @@ def test_row_kernels_are_declared_once():
 
     fields = set(KernelTable._fields[1:])
     assert set(glue.KERNELS) == fields
-    bespoke = {"ntt_forward", "ntt_inverse", "ks_decompose", "scaler_tail"}
+    bespoke = {"ntt_forward", "ntt_inverse", "ks_decompose", "ks_accumulate",
+               "divide_round_drop", "scaler_tail"}
     for name in sorted(fields - bespoke):
         assert not hasattr(glue, name), name
     for name in ("available", "availability_error", "library_path",
@@ -315,6 +316,28 @@ def _ineligible_inputs(field):
         inv = get_stacked_tables(16, primes[:2])
         fwd = get_stacked_tables(16, primes)  # 4 rows, not level + 1 = 3
         return [("len(fwd_tables) != level + 1", (data(2, 16), inv, fwd), {})]
+    if field == "divide_round_drop":
+        tables = get_stacked_tables(16, primes[:3])
+        cols = (*_harvey(data(1, 1), tables.modulus.prefix(1).u64),
+                data(1, 1))
+        return [
+            ("matrix rows != len(tables)", (data(2, 2, 16), tables, *cols),
+             {}),
+            ("one row: nothing to drop",
+             (data(1, 16), get_stacked_tables(16, primes[:1]), *cols), {}),
+        ]
+    if field == "ks_accumulate":
+        tables = get_stacked_tables(16, primes[:2] + primes[3:])
+        cols = (*_harvey(data(2, 1), tables.modulus.prefix(2).u64),
+                data(2, 1))
+        blocks = [data(2, 4, 16) for _ in range(2)]
+        return [
+            ("key block not C-contiguous",
+             (data(2, 3, 16), [np.asfortranarray(b) for b in blocks],
+              (0, 1, 3), tables, *cols), {}),
+            ("D of the wrong shape",
+             (data(2, 4, 16), blocks, (0, 1, 3), tables, *cols), {}),
+        ]
     spec = glue._ROW_KERNELS[field]
     st = StackedModulus.from_values(primes[:3])
     layouts = [
